@@ -90,23 +90,22 @@ Status CoordinatorActor::PollRound(Transport* transport, int64_t epoch,
   ActorMessage request;
   request.kind = ActorMsgKind::kPollRequest;
   request.epoch = epoch;
-  std::vector<Envelope> requests;
-  requests.reserve(static_cast<size_t>(config_.num_sites));
+  poll_requests_.clear();
+  poll_requests_.reserve(static_cast<size_t>(config_.num_sites));
   for (int i = 0; i < config_.num_sites; ++i) {
-    requests.push_back(Envelope{kCoordinatorId, i, request});
+    poll_requests_.push_back(Envelope{kCoordinatorId, i, request});
   }
-  if (!transport->SendBatch(requests)) {
+  if (!transport->SendBatch(&poll_requests_)) {
     return InternalError("transport closed during poll round");
   }
   values->assign(static_cast<size_t>(config_.num_sites), 0);
   int pending = config_.num_sites;
-  std::vector<Envelope> batch;
   while (pending > 0) {
-    batch.clear();
-    if (transport->RecvShardAll(0, &batch) == 0) {
+    poll_responses_.clear();
+    if (transport->RecvShardAll(0, &poll_responses_) == 0) {
       return InternalError("transport closed while collecting poll responses");
     }
-    for (const Envelope& e : batch) {
+    for (const Envelope& e : poll_responses_) {
       if (e.msg.kind != ActorMsgKind::kPollResponse) {
         return InternalError(std::string("unexpected ") +
                              std::string(ActorMsgKindName(e.msg.kind)) +
@@ -136,9 +135,10 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
   std::vector<char> alarmed(static_cast<size_t>(n), 0);
   std::vector<int64_t> alarm_value(static_cast<size_t>(n), 0);
   std::vector<int64_t> poll_values;
-  std::vector<Envelope> starts;   ///< Reused per-epoch fan-out batch.
-  std::vector<Envelope> reports;  ///< Reused per-epoch drain batch.
-  starts.reserve(static_cast<size_t>(n));
+  // Reused per-epoch batches: SendBatch hands `starts` back empty with a
+  // recycled buffer, and RecvShardAll swaps a whole burst into `reports`.
+  std::vector<Envelope> starts;
+  std::vector<Envelope> reports;
   const ResolvedChaos chaos =
       ResolveChaos(config_.chaos, num_epochs, transport->num_workers());
 
@@ -193,7 +193,7 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
     // bursts. Batching cannot perturb detections: alarms are replayed in
     // ascending site order after every report is in, so arrival order
     // never reaches the channel.
-    starts.clear();
+    starts.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       ActorMessage start;
       start.kind = ActorMsgKind::kEpochStart;
@@ -201,7 +201,7 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
       start.flag = channel_.SiteUp(i);
       starts.push_back(Envelope{kCoordinatorId, i, start});
     }
-    if (!transport->SendBatch(starts)) {
+    if (!transport->SendBatch(&starts)) {
       return InternalError("transport closed during epoch start");
     }
     std::fill(alarmed.begin(), alarmed.end(), 0);
@@ -270,7 +270,10 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
   for (int i = 0; i < n; ++i) {
     shutdowns.push_back(Envelope{kCoordinatorId, i, shutdown});
   }
-  transport->SendBatch(shutdowns);
+  transport->SendBatch(&shutdowns);
+  // The poll buffers are sized for the run; release them with it.
+  poll_requests_ = std::vector<Envelope>();
+  poll_responses_ = std::vector<Envelope>();
   out->messages = counter_;
   out->reliability = channel_.stats();
   return OkStatus();
@@ -307,17 +310,16 @@ Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
   std::chrono::steady_clock::time_point round_start;
   int64_t poll_trigger_epoch = 0;  ///< Watermark when the round started.
   std::vector<Envelope> requests;  ///< Reused poll fan-out batch.
-  requests.reserve(static_cast<size_t>(n));
   auto start_poll = [&]() -> Status {
     ActorMessage request;
     request.kind = ActorMsgKind::kPollRequest;
     request.epoch = std::max<int64_t>(watermark, 0);
     poll_trigger_epoch = request.epoch;
-    requests.clear();
+    requests.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       requests.push_back(Envelope{kCoordinatorId, i, request});
     }
-    if (!transport->SendBatch(requests)) {
+    if (!transport->SendBatch(&requests)) {
       return InternalError("transport closed during poll round");
     }
     std::fill(poll_values.begin(), poll_values.end(), 0);
@@ -423,7 +425,7 @@ Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
   for (int i = 0; i < n; ++i) {
     shutdowns.push_back(Envelope{kCoordinatorId, i, shutdown});
   }
-  transport->SendBatch(shutdowns);
+  transport->SendBatch(&shutdowns);
   out->messages = counter_;
   out->reliability = channel_.stats();
   for (int64_t u : out->site_updates) {
@@ -513,6 +515,7 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
   std::vector<std::vector<std::pair<int, int64_t>>> partials(
       static_cast<size_t>(k));
   std::vector<RootMsg> root_batch;
+  ShardLegBuffers inline_buffers;  ///< For legs the root runs itself.
   auto recover = [&](int s, RootMsg::Kind want) -> Status {
     const auto t0 = std::chrono::steady_clock::now();
     dead[static_cast<size_t>(s)] = 1;
@@ -521,10 +524,10 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
             ? ShardEpochLeg(transport, layout, s,
                             SliceForShard(plan, layout, s),
                             pending_cmds[static_cast<size_t>(s)],
-                            &partials[static_cast<size_t>(s)])
+                            &inline_buffers, &partials[static_cast<size_t>(s)])
             : ShardPollLeg(transport, layout, s,
                            pending_cmds[static_cast<size_t>(s)].epoch,
-                           &partials[static_cast<size_t>(s)]);
+                           &inline_buffers, &partials[static_cast<size_t>(s)]);
     ++out->shard_recoveries;
     out->recovery_ms = std::max(
         out->recovery_ms, static_cast<double>(ElapsedUs(t0)) / 1000.0);
@@ -609,7 +612,7 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
     for (int s = 0; s < k; ++s) {
       if (dead[static_cast<size_t>(s)]) {
         DCV_RETURN_IF_ERROR(
-            ShardPollLeg(transport, layout, s, t,
+            ShardPollLeg(transport, layout, s, t, &inline_buffers,
                          &partials[static_cast<size_t>(s)]));
       }
     }
@@ -716,6 +719,7 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
         if (Status st = ShardEpochLeg(transport, layout, s,
                                       SliceForShard(plan, layout, s),
                                       pending_cmds[static_cast<size_t>(s)],
+                                      &inline_buffers,
                                       &partials[static_cast<size_t>(s)]);
             !st.ok()) {
           return abort_run(st);

@@ -123,6 +123,10 @@ class CoordinatorActor {
   /// lockstep ground truth detects in the trigger epoch itself, so this is
   /// the runtime's detection latency relative to the simulator.
   obs::Histogram* detection_lag_ = nullptr;  ///< "runtime/detection_lag_epochs".
+  /// PollRound's fan-out and fan-in batches, reused across rounds: the
+  /// transport hands both back with recycled buffers.
+  std::vector<Envelope> poll_requests_;
+  std::vector<Envelope> poll_responses_;
 };
 
 }  // namespace dcv

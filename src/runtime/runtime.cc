@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -85,17 +86,18 @@ Status ResolvePlan(int n, const Trace* training, const RuntimeOptions& options,
   return OkStatus();
 }
 
-/// Builds the coordinator config shared by every transport.
-CoordinatorActor::Config MakeCoordinatorConfig(int n, const LaunchPlan& plan,
+/// Builds the coordinator config shared by every transport; the plan's
+/// per-site vectors move into it.
+CoordinatorActor::Config MakeCoordinatorConfig(int n, LaunchPlan plan,
                                                const RuntimeOptions& options) {
   CoordinatorActor::Config ccfg;
   ccfg.num_sites = n;
-  ccfg.weights = plan.weights;
+  ccfg.weights = std::move(plan.weights);
   ccfg.global_threshold = options.global_threshold;
   ccfg.protocol = options.protocol;
   ccfg.poll_period = options.poll_period;
-  ccfg.thresholds = plan.thresholds;
-  ccfg.domain_max = plan.domain_max;
+  ccfg.thresholds = std::move(plan.thresholds);
+  ccfg.domain_max = std::move(plan.domain_max);
   ccfg.num_shards = options.num_shards;
   ccfg.faults = options.faults;
   ccfg.chaos = options.chaos;
@@ -232,8 +234,7 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
 /// joins, and fills the throughput/capture fields. `eval` is null for
 /// synthetic runs.
 Result<RuntimeResult> Launch(int n, const Trace* eval,
-                             int64_t updates_per_site,
-                             const LaunchPlan& plan,
+                             int64_t updates_per_site, LaunchPlan plan,
                              const RuntimeOptions& options) {
   if (options.transport == TransportKind::kSocket) {
     return LaunchSocket(n, updates_per_site, plan, options);
@@ -277,16 +278,21 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   const bool local = options.protocol == RuntimeProtocol::kLocalThreshold;
   std::vector<std::unique_ptr<SiteActor>> sites;
   std::vector<std::vector<SiteActor*>> owned;
-  std::vector<std::unique_ptr<SiteEngine>> engines;
+  std::vector<SiteEngine::Config> engine_configs;
   if (multiplexed) {
     // One SoA engine per worker; per-site config lands in slot order
     // (slot s of worker w is site s * workers + w).
-    engines.reserve(static_cast<size_t>(workers));
+    engine_configs.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w) {
       SiteEngine::Config ecfg;
       ecfg.worker = w;
       ecfg.num_workers = workers;
       ecfg.num_sites = n;
+      const size_t slots = static_cast<size_t>((n - w + workers - 1) / workers);
+      ecfg.thresholds.reserve(slots);
+      if (eval != nullptr) {
+        ecfg.series.reserve(slots);
+      }
       for (int site = w; site < n; site += workers) {
         ecfg.thresholds.push_back(
             local ? plan.thresholds[static_cast<size_t>(site)]
@@ -301,7 +307,7 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
       ecfg.capture_updates = options.capture_updates;
       ecfg.metrics = options.metrics;
       ecfg.recorder = options.recorder;
-      engines.push_back(std::make_unique<SiteEngine>(std::move(ecfg)));
+      engine_configs.push_back(std::move(ecfg));
     }
   } else {
     sites.reserve(static_cast<size_t>(n));
@@ -329,22 +335,53 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
     }
   }
 
-  CoordinatorActor coordinator(MakeCoordinatorConfig(n, plan, options));
-  DCV_RETURN_IF_ERROR(coordinator.Init());
-
-  const auto t0 = std::chrono::steady_clock::now();
+  // Multiplexed workers start now and build their own engines while this
+  // thread builds the coordinator: per-worker set-up runs in parallel, and
+  // each engine's slot state is first touched by the thread that sweeps
+  // it. They then wait for `start`, so the build stays in set-up, outside
+  // elapsed_seconds.
+  Transport* t = transport.get();
+  std::vector<std::unique_ptr<SiteEngine>> engines(engine_configs.size());
+  std::latch built(static_cast<ptrdiff_t>(engine_configs.size()));
+  std::latch start(1);
+  bool run_engines = false;  ///< Published to the workers by `start`.
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    Transport* t = transport.get();
-    if (multiplexed) {
-      SiteEngine* engine = engines[static_cast<size_t>(w)].get();
-      if (options.virtual_time) {
-        threads.emplace_back([t, engine] { engine->RunVirtual(t); });
+  for (size_t w = 0; w < engine_configs.size(); ++w) {
+    threads.emplace_back([&, w] {
+      engines[w] = std::make_unique<SiteEngine>(std::move(engine_configs[w]));
+      built.count_down();
+      start.wait();
+      if (!run_engines) {
+        return;
+      } else if (options.virtual_time) {
+        engines[w]->RunVirtual(t);
       } else {
-        threads.emplace_back([t, engine] { engine->RunFree(t); });
+        engines[w]->RunFree(t);
       }
-    } else {
+    });
+  }
+  auto release_engines = [&](bool run) {
+    run_engines = run;
+    start.count_down();
+  };
+
+  // The site configs are built; the coordinator takes the plan itself.
+  CoordinatorActor coordinator(
+      MakeCoordinatorConfig(n, std::move(plan), options));
+  if (Status init = coordinator.Init(); !init.ok()) {
+    release_engines(false);
+    for (std::thread& th : threads) {
+      th.join();
+    }
+    return init;
+  }
+  built.wait();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  release_engines(true);
+  if (!multiplexed) {
+    for (int w = 0; w < workers; ++w) {
       const std::vector<SiteActor*>& mine = owned[static_cast<size_t>(w)];
       if (options.virtual_time) {
         threads.emplace_back(
@@ -373,6 +410,7 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   const auto t1 = std::chrono::steady_clock::now();
 
   result.site_updates.clear();
+  result.site_updates.reserve(static_cast<size_t>(n));
   result.total_updates = 0;
   if (multiplexed) {
     for (int i = 0; i < n; ++i) {
@@ -481,7 +519,8 @@ Result<RuntimeResult> RunSyntheticRuntime(int num_sites,
   DCV_RETURN_IF_ERROR(ResolveWeights(num_sites, options, &plan.weights));
   DCV_RETURN_IF_ERROR(
       ResolvePlan(num_sites, /*training=*/nullptr, options, &plan));
-  return Launch(num_sites, /*eval=*/nullptr, updates_per_site, plan, options);
+  return Launch(num_sites, /*eval=*/nullptr, updates_per_site, std::move(plan),
+                options);
 }
 
 }  // namespace dcv

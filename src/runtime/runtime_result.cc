@@ -46,6 +46,8 @@ std::string RuntimeResult::ToJson() const {
   w.Key("socket").BeginObject();
   w.Key("frames_sent").Value(socket.frames_sent);
   w.Key("frames_received").Value(socket.frames_received);
+  w.Key("envelopes_sent").Value(socket.envelopes_sent);
+  w.Key("envelopes_received").Value(socket.envelopes_received);
   w.Key("bytes_sent").Value(socket.bytes_sent);
   w.Key("bytes_received").Value(socket.bytes_received);
   w.Key("connect_attempts").Value(socket.connect_attempts);

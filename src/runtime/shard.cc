@@ -54,6 +54,7 @@ FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
 
 Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
                      int shard, const LocalPlan& plan, const ShardCmd& cmd,
+                     ShardLegBuffers* buffers,
                      std::vector<std::pair<int, int64_t>>* alarmed) {
   const int start = layout.ShardStart(shard);
   const int size = layout.ShardSize(shard);
@@ -65,7 +66,7 @@ Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
   // One batched fan-out per epoch leg: re-syncs first, then every start.
   // SendBatch preserves batch order per destination inbox, so a site's
   // re-sync still lands before its kEpochStart.
-  std::vector<Envelope> fanout;
+  std::vector<Envelope>& fanout = buffers->fanout;  // Empty: SendBatch took it.
   fanout.reserve(cmd.resync_sites.size() + static_cast<size_t>(size));
   for (int site : cmd.resync_sites) {
     ActorMessage update;
@@ -81,12 +82,12 @@ Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
     begin.flag = cmd.up[static_cast<size_t>(i)] != 0;
     fanout.push_back(Envelope{kCoordinatorId, start + i, begin});
   }
-  if (!transport->SendBatch(fanout)) {
+  if (!transport->SendBatch(&fanout)) {
     return InternalError("transport closed during epoch start");
   }
   std::vector<char> site_alarmed(static_cast<size_t>(size), 0);
   std::vector<int64_t> values(static_cast<size_t>(size), 0);
-  std::vector<Envelope> batch;
+  std::vector<Envelope>& batch = buffers->inbox;
   int pending = size;
   while (pending > 0) {
     batch.clear();
@@ -113,23 +114,23 @@ Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
 }
 
 Status ShardPollLeg(Transport* transport, const ShardLayout& layout,
-                    int shard, int64_t epoch,
+                    int shard, int64_t epoch, ShardLegBuffers* buffers,
                     std::vector<std::pair<int, int64_t>>* values) {
   const int start = layout.ShardStart(shard);
   const int size = layout.ShardSize(shard);
   ActorMessage request;
   request.kind = ActorMsgKind::kPollRequest;
   request.epoch = epoch;
-  std::vector<Envelope> fanout;
+  std::vector<Envelope>& fanout = buffers->fanout;  // Empty: SendBatch took it.
   fanout.reserve(static_cast<size_t>(size));
   for (int i = 0; i < size; ++i) {
     fanout.push_back(Envelope{kCoordinatorId, start + i, request});
   }
-  if (!transport->SendBatch(fanout)) {
+  if (!transport->SendBatch(&fanout)) {
     return InternalError("transport closed during poll round");
   }
   std::vector<int64_t> responses(static_cast<size_t>(size), 0);
-  std::vector<Envelope> batch;
+  std::vector<Envelope>& batch = buffers->inbox;
   int pending = size;
   while (pending > 0) {
     batch.clear();
@@ -165,7 +166,7 @@ void ShardShutdownLeg(Transport* transport, const ShardLayout& layout,
   for (int i = 0; i < size; ++i) {
     fanout.push_back(Envelope{kCoordinatorId, start + i, shutdown});
   }
-  transport->SendBatch(fanout);
+  transport->SendBatch(&fanout);
 }
 
 void RunShardVirtual(ShardContext ctx) {
@@ -173,6 +174,7 @@ void RunShardVirtual(ShardContext ctx) {
   ShardLayout layout = ctx.layout;
   LocalPlan plan = std::move(ctx.plan);
   std::vector<std::pair<int, int64_t>> entries;
+  ShardLegBuffers buffers;
 
   ShardCmd cmd;
   while (ctx.cmds->Pop(&cmd)) {
@@ -196,7 +198,7 @@ void RunShardVirtual(ShardContext ctx) {
           return;
         }
         if (Status st = ShardEpochLeg(ctx.transport, layout, ctx.shard, plan,
-                                      cmd, &entries);
+                                      cmd, &buffers, &entries);
             !st.ok()) {
           ReportError(ctx, std::move(st));
           return;
@@ -213,7 +215,7 @@ void RunShardVirtual(ShardContext ctx) {
       }
       case ShardCmd::Kind::kPoll: {
         if (Status st = ShardPollLeg(ctx.transport, layout, ctx.shard,
-                                     cmd.epoch, &entries);
+                                     cmd.epoch, &buffers, &entries);
             !st.ok()) {
           ReportError(ctx, std::move(st));
           return;
@@ -273,17 +275,16 @@ void RunShardFree(ShardContext ctx) {
       watermark = epoch;
     }
   };
-  std::vector<Envelope> poll_fanout;
-  poll_fanout.reserve(static_cast<size_t>(size));
+  std::vector<Envelope> poll_fanout;  ///< Reused; SendBatch recycles it.
   auto start_local_poll = [&]() -> bool {
     ActorMessage request;
     request.kind = ActorMsgKind::kPollRequest;
     request.epoch = std::max<int64_t>(watermark, 0);
-    poll_fanout.clear();
+    poll_fanout.reserve(static_cast<size_t>(size));
     for (int i = 0; i < size; ++i) {
       poll_fanout.push_back(Envelope{kCoordinatorId, start + i, request});
     }
-    if (!ctx.transport->SendBatch(poll_fanout)) {
+    if (!ctx.transport->SendBatch(&poll_fanout)) {
       return false;
     }
     std::fill(poll_values.begin(), poll_values.end(), 0);

@@ -134,6 +134,15 @@ struct ShardContext {
   int64_t die_after_batches = -1;
 };
 
+/// Envelope batches the virtual-mode legs reuse from call to call: the
+/// transport hands `fanout` back empty with a buffer to refill and drains
+/// reply bursts into `inbox`, so a steady run allocates nothing per leg.
+/// One instance per thread that runs legs.
+struct ShardLegBuffers {
+  std::vector<Envelope> fanout;
+  std::vector<Envelope> inbox;
+};
+
 /// Body of one shard coordinator thread, virtual-time mode: serve ShardCmds
 /// until kShutdown (or a closed box / transport error).
 void RunShardVirtual(ShardContext ctx);
@@ -151,9 +160,10 @@ void RunShardVirtual(ShardContext ctx);
 /// forwards kShutdown to every owned site.
 Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
                      int shard, const LocalPlan& plan, const ShardCmd& cmd,
+                     ShardLegBuffers* buffers,
                      std::vector<std::pair<int, int64_t>>* alarmed);
 Status ShardPollLeg(Transport* transport, const ShardLayout& layout,
-                    int shard, int64_t epoch,
+                    int shard, int64_t epoch, ShardLegBuffers* buffers,
                     std::vector<std::pair<int, int64_t>>* values);
 void ShardShutdownLeg(Transport* transport, const ShardLayout& layout,
                       int shard);

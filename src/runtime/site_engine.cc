@@ -24,14 +24,11 @@ constexpr size_t kCompactThreshold = 4096;
 }  // namespace
 
 SiteEngine::SiteEngine(Config config) : config_(std::move(config)) {
-  const size_t slots = config_.thresholds.size();
-  thresholds_ = config_.thresholds;
+  thresholds_ = std::move(config_.thresholds);
+  const size_t slots = thresholds_.size();
   values_.assign(slots, 0);
   cursors_.assign(slots, 0);
   updates_.assign(slots, 0);
-  if (config_.series.empty()) {
-    config_.series.resize(slots);
-  }
   rngs_.reserve(slots);
   for (size_t slot = 0; slot < slots; ++slot) {
     rngs_.push_back(MakeSiteRng(config_.seed, SiteOf(slot)));
@@ -54,14 +51,17 @@ int SiteEngine::SlotOf(int32_t site) const {
   return slot < static_cast<int>(num_slots()) ? slot : -1;
 }
 
+bool SiteEngine::Synthetic(size_t slot) const {
+  return config_.series.empty() || config_.series[slot].empty();
+}
+
 int64_t SiteEngine::workload_size(size_t slot) const {
-  return config_.series[slot].empty()
-             ? config_.synthetic_updates
-             : static_cast<int64_t>(config_.series[slot].size());
+  return Synthetic(slot) ? config_.synthetic_updates
+                         : static_cast<int64_t>(config_.series[slot].size());
 }
 
 int64_t SiteEngine::ValueAt(size_t slot, int64_t index) {
-  if (!config_.series[slot].empty()) {
+  if (!Synthetic(slot)) {
     return config_.series[slot][static_cast<size_t>(index)];
   }
   // Synthetic stream: one draw per update, in stream order, from the
@@ -131,7 +131,6 @@ void SiteEngine::RunVirtual(Transport* transport) {
     if (transport->RecvWorkerAll(config_.worker, &inbox) == 0) {
       break;  // Fabric closed.
     }
-    outbox.clear();
     for (const Envelope& e : inbox) {
       const int slot = SlotOf(e.to);
       if (slot < 0) {
@@ -159,11 +158,11 @@ void SiteEngine::RunVirtual(Transport* transport) {
           break;
       }
     }
-    // One batched reply per drained burst. Blocking is safe here: shard
-    // inbox capacity covers every in-flight report + poll response of an
-    // epoch (2 per owned site + headroom), and the shard coordinator is
-    // always in its receive loop.
-    if (!outbox.empty() && !transport->SendBatch(outbox)) {
+    // One batched reply per drained burst; SendBatch hands `outbox` back
+    // empty. Blocking is safe here: shard inbox capacity covers every
+    // in-flight report + poll response of an epoch (2 per owned site +
+    // headroom), and the shard coordinator is always in its receive loop.
+    if (!outbox.empty() && !transport->SendBatch(&outbox)) {
       break;
     }
   }

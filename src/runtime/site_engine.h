@@ -60,11 +60,12 @@ class SiteEngine {
     int num_sites = 0;    ///< Global site count.
 
     /// Local thresholds in slot order (size = owned slot count);
-    /// max() = no local constraint.
+    /// max() = no local constraint. Moved into the engine on construction.
     std::vector<int64_t> thresholds;
 
     /// Trace-driven workload: owned sites' eval-trace columns in slot
-    /// order. Empty (or all-empty) = synthetic workload below.
+    /// order. Empty = synthetic workload below for every slot; an empty
+    /// column makes just that slot synthetic.
     std::vector<std::vector<int64_t>> series;
     int64_t synthetic_updates = 0;
     uint64_t seed = 42;
@@ -124,6 +125,8 @@ class SiteEngine {
   /// range or not owned by this worker (dropped, same as the actor loop).
   int SlotOf(int32_t site) const;
 
+  /// True when the slot draws synthetic values (no trace column).
+  bool Synthetic(size_t slot) const;
   int64_t workload_size(size_t slot) const;
   int64_t ValueAt(size_t slot, int64_t index);
 

@@ -208,6 +208,8 @@ SocketTransport::SocketTransport(Role role, int num_sites, int num_workers,
     // the wire layer without the "socket:" side channel.
     c_frames_tx_ = options_.metrics->counter("runtime/socket/frames_tx");
     c_frames_rx_ = options_.metrics->counter("runtime/socket/frames_rx");
+    c_envelopes_tx_ = options_.metrics->counter("runtime/socket/envelopes_tx");
+    c_envelopes_rx_ = options_.metrics->counter("runtime/socket/envelopes_rx");
     c_bytes_tx_ = options_.metrics->counter("runtime/socket/bytes_tx");
     c_bytes_rx_ = options_.metrics->counter("runtime/socket/bytes_rx");
     c_connect_attempts_ =
@@ -489,9 +491,13 @@ void SocketTransport::ReaderLoop(size_t index) {
   }
 
   // Decodes everything buffered in `reader`; false = drop the connection.
+  // The frame and the per-shard groups live as long as the connection:
+  // PushAll hands each batch vector back empty with a buffer to refill,
+  // so steady traffic allocates nothing here.
+  WireFrame frame;
+  std::vector<std::vector<Envelope>> per_shard(inboxes_.size());
   auto drain_frames = [&](FrameReader& reader) {
     for (;;) {
-      WireFrame frame;
       auto r = reader.Next(&frame);
       if (!r.ok()) {
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -577,16 +583,21 @@ void SocketTransport::ReaderLoop(size_t index) {
       }
       frames_received_.fetch_add(1, std::memory_order_relaxed);
       DCV_OBS_COUNT(c_frames_rx_, 1);
+      const int64_t envelopes =
+          frame.type == FrameType::kEnvelopeBatch
+              ? static_cast<int64_t>(frame.batch.size())
+              : 1;
+      envelopes_received_.fetch_add(envelopes, std::memory_order_relaxed);
+      DCV_OBS_COUNT(c_envelopes_rx_, envelopes);
       if (frame.type == FrameType::kEnvelopeBatch) {
         // Route the batch with one PushAll per destination inbox (one
         // mutex round trip per burst, same as the thread transport).
         if (role_ != Role::kCoordinator) {
-          if (!inboxes_[0]->PushAll(std::move(frame.batch))) {
+          if (!inboxes_[0]->PushAll(&frame.batch)) {
             return false;  // Inbox closed: we are shutting down.
           }
           continue;
         }
-        std::vector<std::vector<Envelope>> per_shard(inboxes_.size());
         for (Envelope& env : frame.batch) {
           if (env.from < 0 || env.from >= num_sites_) {
             decode_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -597,7 +608,7 @@ void SocketTransport::ReaderLoop(size_t index) {
         }
         for (size_t s = 0; s < per_shard.size(); ++s) {
           if (!per_shard[s].empty() &&
-              !inboxes_[s]->PushAll(std::move(per_shard[s]))) {
+              !inboxes_[s]->PushAll(&per_shard[s])) {
             return false;
           }
         }
@@ -747,6 +758,9 @@ void SocketTransport::WriterLoop(size_t index) {
       wrote = c.fd >= 0 && WriteAll(c.fd, buf.data(), buf.size());
       if (wrote) {
         frames_sent_.fetch_add(wire_frames, std::memory_order_relaxed);
+        envelopes_sent_.fetch_add(static_cast<int64_t>(batch.size()),
+                                  std::memory_order_relaxed);
+        DCV_OBS_COUNT(c_envelopes_tx_, static_cast<int64_t>(batch.size()));
         bytes_sent_.fetch_add(static_cast<int64_t>(buf.size()),
                               std::memory_order_relaxed);
         DCV_OBS_COUNT(c_frames_tx_, wire_frames);
@@ -1044,31 +1058,31 @@ bool SocketTransport::Send(const Envelope& e) {
   return conns_[0]->send_box->Push(e);
 }
 
-bool SocketTransport::SendBatch(const std::vector<Envelope>& batch) {
-  if (role_ != Role::kCoordinator) {
-    // Worker role: every envelope rides the one coordinator connection.
-    std::vector<Envelope> items;
-    items.reserve(batch.size());
-    for (const Envelope& e : batch) {
-      if (e.to != kCoordinatorId) {
-        return false;
-      }
-      items.push_back(e);
-    }
-    return conns_[0]->send_box->PushAll(std::move(items));
-  }
-  // Coordinator role: group per worker connection; each writer drains its
-  // send box into one coalesced kEnvelopeBatch wire frame per burst.
-  std::vector<std::vector<Envelope>> per_conn(conns_.size());
-  for (const Envelope& e : batch) {
-    if (e.to < 0 || e.to >= num_sites_) {
+bool SocketTransport::SendBatch(std::vector<Envelope>* batch) {
+  // Route everything before delivering anything, so an unroutable envelope
+  // rejects the batch whole.
+  for (const Envelope& e : *batch) {
+    const bool routable = role_ == Role::kCoordinator
+                              ? e.to >= 0 && e.to < num_sites_
+                              : e.to == kCoordinatorId;
+    if (!routable) {
+      batch->clear();
       return false;
     }
+  }
+  if (role_ != Role::kCoordinator || conns_.size() == 1) {
+    // One connection: the batch goes into its send box in one PushAll; the
+    // writer drains it into coalesced kEnvelopeBatch frames.
+    return batch->empty() || conns_[0]->send_box->PushAll(batch);
+  }
+  // Coordinator role with several workers: group per worker connection.
+  std::vector<std::vector<Envelope>> per_conn(conns_.size());
+  for (const Envelope& e : *batch) {
     per_conn[static_cast<size_t>(WorkerOf(e.to))].push_back(e);
   }
+  batch->clear();
   for (size_t w = 0; w < per_conn.size(); ++w) {
-    if (!per_conn[w].empty() &&
-        !conns_[w]->send_box->PushAll(std::move(per_conn[w]))) {
+    if (!per_conn[w].empty() && !conns_[w]->send_box->PushAll(&per_conn[w])) {
       return false;
     }
   }
@@ -1382,6 +1396,8 @@ SocketStats SocketTransport::stats() const {
   SocketStats s;
   s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
   s.frames_received = frames_received_.load(std::memory_order_relaxed);
+  s.envelopes_sent = envelopes_sent_.load(std::memory_order_relaxed);
+  s.envelopes_received = envelopes_received_.load(std::memory_order_relaxed);
   s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
   s.connect_attempts = connect_attempts_.load(std::memory_order_relaxed);

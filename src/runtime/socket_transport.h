@@ -156,7 +156,7 @@ class SocketTransport : public Transport {
   int num_shards() const override { return current()->num_shards; }
   int ShardOf(int site) const override { return current()->ShardOf(site); }
   bool Send(const Envelope& e) override;
-  bool SendBatch(const std::vector<Envelope>& batch) override;
+  bool SendBatch(std::vector<Envelope>* batch) override;
   size_t TrySendBatch(const std::vector<Envelope>& batch, size_t begin,
                       bool* closed = nullptr) override;
   bool SendToShard(int shard, const Envelope& e) override;
@@ -304,6 +304,8 @@ class SocketTransport : public Transport {
   // Wire-level counters (stats() snapshot + optional obs mirror).
   std::atomic<int64_t> frames_sent_{0};
   std::atomic<int64_t> frames_received_{0};
+  std::atomic<int64_t> envelopes_sent_{0};
+  std::atomic<int64_t> envelopes_received_{0};
   std::atomic<int64_t> bytes_sent_{0};
   std::atomic<int64_t> bytes_received_{0};
   std::atomic<int64_t> connect_attempts_{0};
@@ -317,6 +319,8 @@ class SocketTransport : public Transport {
   std::atomic<int64_t> duplicate_frames_{0};
   obs::Counter* c_frames_tx_ = nullptr;
   obs::Counter* c_frames_rx_ = nullptr;
+  obs::Counter* c_envelopes_tx_ = nullptr;
+  obs::Counter* c_envelopes_rx_ = nullptr;
   obs::Counter* c_bytes_tx_ = nullptr;
   obs::Counter* c_bytes_rx_ = nullptr;
   obs::Counter* c_connect_attempts_ = nullptr;

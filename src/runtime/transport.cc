@@ -76,50 +76,75 @@ ThreadTransport::ThreadTransport(ShardLayout layout, int num_workers,
   }
 }
 
-bool ThreadTransport::Send(const Envelope& e) {
+Mailbox<Envelope>* ThreadTransport::BoxFor(const Envelope& e,
+                                           const ShardLayout& layout) const {
   if (e.to == kCoordinatorId) {
     if (e.from < 0 || e.from >= num_sites_) {
-      return false;
+      return nullptr;
     }
-    return shard_boxes_[static_cast<size_t>(ShardOf(e.from))]->Push(e);
+    return shard_boxes_[static_cast<size_t>(layout.ShardOf(e.from))].get();
   }
   if (e.to < 0 || e.to >= num_sites_) {
-    return false;
+    return nullptr;
   }
-  return worker_boxes_[static_cast<size_t>(WorkerOf(e.to))]->Push(e);
+  return worker_boxes_[static_cast<size_t>(WorkerOf(e.to))].get();
 }
 
-bool ThreadTransport::SendBatch(const std::vector<Envelope>& batch) {
-  // Group by destination mailbox so each box pays one PushAll per burst
-  // instead of one Push per envelope. A coordinator fan-out over N sites
-  // alternates workers every envelope (site % num_workers), so grouping —
-  // not run-length detection — is what recovers the batching win. Order
-  // within each group is batch order, preserving the per-producer FIFO
-  // guarantee every barrier in the runtime leans on.
+bool ThreadTransport::Send(const Envelope& e) {
+  Mailbox<Envelope>* box = BoxFor(e, *current());
+  return box != nullptr && box->Push(e);
+}
+
+bool ThreadTransport::SendBatch(std::vector<Envelope>* batch) {
+  // Route everything before delivering anything, so an unroutable envelope
+  // rejects the batch whole. One layout snapshot serves both passes.
+  const ShardLayout& layout = *current();
+  Mailbox<Envelope>* only = nullptr;
+  bool single = true;
+  for (const Envelope& e : *batch) {
+    Mailbox<Envelope>* box = BoxFor(e, layout);
+    if (box == nullptr) {
+      batch->clear();
+      return false;
+    }
+    if (only == nullptr) {
+      only = box;
+    } else if (box != only) {
+      single = false;
+    }
+  }
+  if (only == nullptr) {
+    return true;  // Empty batch.
+  }
+  if (single) {
+    // The common case — every fan-out to a single worker, every reply
+    // burst to a single shard: one PushAll, which moves a large batch's
+    // buffer into the mailbox as is.
+    return only->PushAll(batch);
+  }
+  // Several destinations: group by mailbox so each box takes one PushAll
+  // per burst. A coordinator fan-out over N sites alternates workers every
+  // envelope (site % num_workers), so grouping — not run-length detection
+  // — is what recovers the batching win. Order within each group is batch
+  // order, preserving the per-producer FIFO guarantee every barrier in the
+  // runtime leans on.
   std::vector<std::vector<Envelope>> to_shard(shard_boxes_.size());
   std::vector<std::vector<Envelope>> to_worker(worker_boxes_.size());
-  for (const Envelope& e : batch) {
+  for (const Envelope& e : *batch) {
     if (e.to == kCoordinatorId) {
-      if (e.from < 0 || e.from >= num_sites_) {
-        return false;
-      }
-      to_shard[static_cast<size_t>(ShardOf(e.from))].push_back(e);
+      to_shard[static_cast<size_t>(layout.ShardOf(e.from))].push_back(e);
     } else {
-      if (e.to < 0 || e.to >= num_sites_) {
-        return false;
-      }
       to_worker[static_cast<size_t>(WorkerOf(e.to))].push_back(e);
     }
   }
+  batch->clear();
   for (size_t s = 0; s < to_shard.size(); ++s) {
-    if (!to_shard[s].empty() &&
-        !shard_boxes_[s]->PushAll(std::move(to_shard[s]))) {
+    if (!to_shard[s].empty() && !shard_boxes_[s]->PushAll(&to_shard[s])) {
       return false;
     }
   }
   for (size_t w = 0; w < to_worker.size(); ++w) {
-    if (!to_worker[w].empty() &&
-        !worker_boxes_[w]->PushAll(std::move(to_worker[w]))) {
+    if (!to_worker[w].empty() && !worker_boxes_[w]->PushAll(&to_worker[w])) {
       return false;
     }
   }
@@ -132,28 +157,13 @@ size_t ThreadTransport::TrySendBatch(const std::vector<Envelope>& batch,
   // so the caller's retry cursor stays a plain offset. `*closed` flags the
   // permanent stop reasons (closed box, unroutable envelope) — a full box
   // leaves it false so the caller retries after draining its own inbox.
+  const ShardLayout& layout = *current();
   size_t sent = 0;
   while (begin + sent < batch.size()) {
     const Envelope& e = batch[begin + sent];
-    Mailbox<Envelope>* box = nullptr;
-    if (e.to == kCoordinatorId) {
-      if (e.from < 0 || e.from >= num_sites_) {
-        if (closed != nullptr) {
-          *closed = true;
-        }
-        break;
-      }
-      box = shard_boxes_[static_cast<size_t>(ShardOf(e.from))].get();
-    } else {
-      if (e.to < 0 || e.to >= num_sites_) {
-        if (closed != nullptr) {
-          *closed = true;
-        }
-        break;
-      }
-      box = worker_boxes_[static_cast<size_t>(WorkerOf(e.to))].get();
-    }
-    const MailboxPush push = box->TryPush(e);
+    Mailbox<Envelope>* box = BoxFor(e, layout);
+    const MailboxPush push =
+        box == nullptr ? MailboxPush::kClosed : box->TryPush(e);
     if (push != MailboxPush::kOk) {
       if (push == MailboxPush::kClosed && closed != nullptr) {
         *closed = true;

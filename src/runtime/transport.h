@@ -51,20 +51,21 @@ class Transport {
   /// Batched Send: routes every envelope exactly as Send would (per-
   /// destination FIFO order preserved — envelopes to the same inbox land in
   /// batch order), but implementations amortize locking/framing across the
-  /// batch: the thread transport groups by destination mailbox and pays one
-  /// mutex round trip per box per burst (Mailbox::PushAll), the socket
-  /// transport coalesces each burst into one kEnvelopeBatch wire frame.
-  /// Blocks on full inboxes like Send; returns false iff a destination was
-  /// closed or an envelope was unroutable (a prefix may have been
-  /// delivered, exactly as a loop of Sends interrupted mid-way).
-  virtual bool SendBatch(const std::vector<Envelope>& batch) {
-    for (const Envelope& e : batch) {
-      if (!Send(e)) {
-        return false;
-      }
-    }
-    return true;
-  }
+  /// batch: the thread transport hands the batch to its destination mailbox
+  /// whole (Mailbox::PushAll), the socket transport moves it into the
+  /// connection's send box, whose writer coalesces each burst into one
+  /// kEnvelopeBatch wire frame.
+  ///
+  /// Ownership contract: the transport takes the envelopes. On return
+  /// `*batch` is empty on every path, keeping its capacity or holding a
+  /// recycled buffer, so a caller that refills the same vector every epoch
+  /// allocates nothing in steady state.
+  ///
+  /// Blocks on full inboxes like Send. Returns false iff an envelope was
+  /// unroutable — checked up front, so nothing was delivered — or a
+  /// destination was closed, in which case a prefix may have been
+  /// delivered, exactly as a loop of Sends interrupted mid-way.
+  virtual bool SendBatch(std::vector<Envelope>* batch) = 0;
 
   /// Non-blocking SendBatch: consumes the longest routable prefix of
   /// batch[begin..] that fits right now and returns its length. The
@@ -222,7 +223,7 @@ class ThreadTransport : public Transport {
   int ShardOf(int site) const override { return current()->ShardOf(site); }
 
   bool Send(const Envelope& e) override;
-  bool SendBatch(const std::vector<Envelope>& batch) override;
+  bool SendBatch(std::vector<Envelope>* batch) override;
   size_t TrySendBatch(const std::vector<Envelope>& batch, size_t begin,
                       bool* closed = nullptr) override;
   bool SendToShard(int shard, const Envelope& e) override;
@@ -261,6 +262,9 @@ class ThreadTransport : public Transport {
   const ShardLayout* current() const {
     return layout_ptr_.load(std::memory_order_acquire);
   }
+
+  /// The inbox `e` routes to under `layout`; nullptr when unroutable.
+  Mailbox<Envelope>* BoxFor(const Envelope& e, const ShardLayout& layout) const;
 
   int num_sites_;
   int num_workers_;

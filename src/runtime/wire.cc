@@ -553,6 +553,8 @@ std::string FrameReader::TakeBuffered() {
 std::string SocketStats::ToString() const {
   std::ostringstream os;
   os << "frames_tx=" << frames_sent << " frames_rx=" << frames_received
+     << " envelopes_tx=" << envelopes_sent
+     << " envelopes_rx=" << envelopes_received
      << " bytes_tx=" << bytes_sent << " bytes_rx=" << bytes_received
      << " connect_attempts=" << connect_attempts
      << " connect_retries=" << connect_retries

@@ -246,6 +246,11 @@ class FrameReader {
 struct SocketStats {
   int64_t frames_sent = 0;
   int64_t frames_received = 0;
+  /// Envelopes inside the data frames counted above (a kEnvelopeBatch
+  /// frame carries many). Exact for a given workload, unlike the frame
+  /// counts, which depend on how the writer's bursts coalesce.
+  int64_t envelopes_sent = 0;
+  int64_t envelopes_received = 0;
   int64_t bytes_sent = 0;
   int64_t bytes_received = 0;
   int64_t connect_attempts = 0;  ///< Total connect() calls (1 = first try).

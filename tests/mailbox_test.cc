@@ -327,7 +327,7 @@ TEST(MailboxTest, PushAllDeliversInOrderAcrossCapacityWaves) {
   for (int i = 0; i < 20; ++i) {
     items.push_back(i);
   }
-  std::thread producer([&] { ASSERT_TRUE(box.PushAll(std::move(items))); });
+  std::thread producer([&] { ASSERT_TRUE(box.PushAll(&items)); });
   int v = -1;
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(box.Pop(&v));
@@ -344,7 +344,7 @@ TEST(MailboxTest, PushAllBlockedOnFullBoxWakesOnCloseWithoutLosingPrefix) {
   std::atomic<bool> returned{false};
   std::thread producer([&] {
     std::vector<int> items = {1, 2, 3, 4, 5};
-    EXPECT_FALSE(box.PushAll(std::move(items)));  // Blocks, then rejected.
+    EXPECT_FALSE(box.PushAll(&items));  // Blocks, then rejected.
     returned.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -384,6 +384,163 @@ TEST(MailboxTest, TryPushAllTakesLongestPrefixAndReportsClosure) {
   std::vector<int> out;
   EXPECT_EQ(box.TryPopAll(&out), 3u);
   EXPECT_EQ(out, (std::vector<int>{11, 12, 13}));
+}
+
+
+// Ownership contract of the segment store: large batches cross by move,
+// everything else by small segments, and drained buffers are recycled.
+
+// Enough ints to clear the whole-batch threshold (kWholeBatchBytes).
+constexpr int kWholeBatch = 1 << 17;
+
+std::vector<int> Iota(int first, int count) {
+  std::vector<int> v;
+  v.reserve(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    v.push_back(first + i);
+  }
+  return v;
+}
+
+TEST(MailboxTest, WholeBatchCrossesByMoveAndDrainsBySwap) {
+  Mailbox<int> box(4 * kWholeBatch);
+  std::vector<int> items = Iota(0, kWholeBatch);
+  const int* buffer = items.data();
+  ASSERT_TRUE(box.PushAll(&items));
+  EXPECT_TRUE(items.empty());
+  EXPECT_EQ(box.size(), static_cast<size_t>(kWholeBatch));
+
+  // PopAll into an empty vector hands over the producer's own buffer.
+  std::vector<int> out;
+  EXPECT_EQ(box.PopAll(&out), static_cast<size_t>(kWholeBatch));
+  EXPECT_EQ(out.data(), buffer);
+  EXPECT_EQ(out, Iota(0, kWholeBatch));
+}
+
+TEST(MailboxTest, DrainedBuffersGoBackToTheNextProducer) {
+  Mailbox<int> box(4 * kWholeBatch);
+  std::vector<int> out;
+  out.reserve(2 * kWholeBatch);  // The consumer's buffer, swapped in below.
+  const int* consumer_buffer = out.data();
+
+  std::vector<int> items = Iota(0, kWholeBatch);
+  ASSERT_TRUE(box.PushAll(&items));
+  out.clear();
+  ASSERT_EQ(box.PopAll(&out), static_cast<size_t>(kWholeBatch));
+
+  // The next whole batch returns the consumer's old buffer to the producer:
+  // a steady producer/consumer pair allocates nothing after the first burst.
+  std::vector<int> next = Iota(kWholeBatch, kWholeBatch);
+  ASSERT_TRUE(box.PushAll(&next));
+  EXPECT_TRUE(next.empty());
+  EXPECT_EQ(next.data(), consumer_buffer);
+  EXPECT_GE(next.capacity(), static_cast<size_t>(2 * kWholeBatch));
+}
+
+TEST(MailboxTest, SmallBatchIsCopiedAndTheCallerKeepsItsBuffer) {
+  Mailbox<int> box(64);
+  std::vector<int> items = {1, 2, 3};
+  const size_t capacity = items.capacity();
+  ASSERT_TRUE(box.PushAll(&items));
+  EXPECT_TRUE(items.empty());
+  EXPECT_EQ(items.capacity(), capacity);
+  std::vector<int> out;
+  EXPECT_EQ(box.PopAll(&out), 3u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(MailboxTest, FifoAcrossSinglesWholeBatchesAndCapacityWaves) {
+  // Capacity for one whole batch plus a little: the second whole-sized
+  // batch no longer fits and goes in waves as the consumer drains.
+  Mailbox<int> box(kWholeBatch + 100);
+  std::thread producer([&] {
+    int next = 0;
+    for (int i = 0; i < 70; ++i) {  // More than one small segment.
+      ASSERT_TRUE(box.Push(next++));
+    }
+    std::vector<int> whole = Iota(next, kWholeBatch);
+    next += kWholeBatch;
+    ASSERT_TRUE(box.PushAll(&whole));
+    ASSERT_TRUE(box.Push(next++));
+    std::vector<int> waves = Iota(next, kWholeBatch);
+    next += kWholeBatch;
+    ASSERT_TRUE(box.PushAll(&waves));
+    std::vector<int> small = Iota(next, 5);
+    ASSERT_TRUE(box.PushAll(&small));
+  });
+  const int total = 70 + kWholeBatch + 1 + kWholeBatch + 5;
+  int expected = 0;
+  std::vector<int> out;
+  int v = -1;
+  while (expected < total) {
+    // Alternate single pops and batch drains.
+    if (expected % 3 == 0) {
+      ASSERT_TRUE(box.Pop(&v));
+      ASSERT_EQ(v, expected);
+      ++expected;
+      continue;
+    }
+    out.clear();
+    ASSERT_GT(box.PopAll(&out), 0u);
+    for (int got : out) {
+      ASSERT_EQ(got, expected);
+      ++expected;
+    }
+  }
+  producer.join();
+  EXPECT_EQ(box.size(), 0u);
+}
+
+TEST(MailboxTest, CloseMidWholeSizedBatchKeepsTheAcceptedPrefix) {
+  // A whole-sized batch that does not fit goes in waves; Close between
+  // waves rejects the rest, and what was accepted stays poppable in order.
+  Mailbox<int> box(kWholeBatch / 2);
+  std::atomic<bool> returned{false};
+  std::thread producer([&] {
+    std::vector<int> items = Iota(0, kWholeBatch);
+    EXPECT_FALSE(box.PushAll(&items));
+    EXPECT_TRUE(items.empty());
+    returned.store(true);
+  });
+  while (box.size() < box.capacity()) {
+    std::this_thread::yield();
+  }
+  box.Close();
+  producer.join();
+  EXPECT_TRUE(returned.load());
+  std::vector<int> out;
+  EXPECT_EQ(box.PopAll(&out), static_cast<size_t>(kWholeBatch / 2));
+  EXPECT_EQ(out, Iota(0, kWholeBatch / 2));
+  out.clear();
+  EXPECT_EQ(box.PopAll(&out), 0u);  // Closed and drained.
+}
+
+TEST(MailboxTest, TryPushAllAndSizeCountAcrossSegments) {
+  Mailbox<int> box(kWholeBatch + 200);
+  std::vector<int> whole = Iota(0, kWholeBatch);
+  ASSERT_TRUE(box.PushAll(&whole));
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_EQ(box.TryPush(kWholeBatch + i), MailboxPush::kOk);
+  }
+  EXPECT_EQ(box.size(), static_cast<size_t>(kWholeBatch + 60));
+
+  // 140 slots left: the longest prefix that fits lands, spanning segments.
+  std::vector<int> tail = Iota(kWholeBatch + 60, 300);
+  bool closed = true;
+  EXPECT_EQ(box.TryPushAll(&tail, 0, &closed), 140u);
+  EXPECT_FALSE(closed);
+  EXPECT_EQ(box.size(), box.capacity());
+  EXPECT_EQ(box.TryPushAll(&tail, 140, &closed), 0u);
+  EXPECT_FALSE(closed);
+
+  int v = -1;
+  ASSERT_TRUE(box.TryPop(&v));
+  EXPECT_EQ(v, 0);
+  EXPECT_EQ(box.size(), box.capacity() - 1);
+  std::vector<int> out;
+  EXPECT_EQ(box.TryPopAll(&out), box.capacity() - 1);
+  EXPECT_EQ(out, Iota(1, kWholeBatch + 199));
+  EXPECT_EQ(box.size(), 0u);
 }
 
 }  // namespace

@@ -86,6 +86,70 @@ TEST(ThreadTransportTest, SendToShardAndBatchDrain) {
   EXPECT_EQ(t.RecvShardAll(2, &batch), 0u);
 }
 
+TEST(ThreadTransportTest, SendBatchTakesTheBatchAndKeepsOrderPerInbox) {
+  auto transport = ThreadTransport::Create(4, 2);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  ActorMessage msg;
+  msg.kind = ActorMsgKind::kPollRequest;
+  std::vector<Envelope> batch;
+  for (int i = 0; i < 8; ++i) {
+    msg.epoch = i;
+    batch.push_back(Envelope{kCoordinatorId, i % 4, msg});
+  }
+  ASSERT_TRUE(t.SendBatch(&batch));
+  EXPECT_TRUE(batch.empty());
+  // Worker w owns sites {w, w + 2}; each inbox holds its share in batch
+  // order.
+  for (int w = 0; w < 2; ++w) {
+    std::vector<Envelope> got;
+    ASSERT_EQ(t.TryRecvWorkerAll(w, &got), 4u);
+    for (size_t k = 0; k + 1 < got.size(); ++k) {
+      EXPECT_LT(got[k].msg.epoch, got[k + 1].msg.epoch);
+    }
+    for (const Envelope& e : got) {
+      EXPECT_EQ(t.WorkerOf(e.to), w);
+    }
+  }
+
+  // A single-destination batch: the coordinator-bound replies of one
+  // shard.
+  msg.kind = ActorMsgKind::kEpochReport;
+  for (int i = 0; i < 4; ++i) {
+    batch.push_back(Envelope{i, kCoordinatorId, msg});
+  }
+  ASSERT_TRUE(t.SendBatch(&batch));
+  EXPECT_TRUE(batch.empty());
+  std::vector<Envelope> replies;
+  ASSERT_EQ(t.RecvShardAll(0, &replies), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(replies[static_cast<size_t>(i)].from, i);
+  }
+}
+
+TEST(ThreadTransportTest, UnroutableEnvelopeRejectsTheWholeBatch) {
+  auto transport = ThreadTransport::Create(4, 2);
+  ASSERT_TRUE(transport.ok());
+  Transport& t = **transport;
+  ActorMessage msg;
+  msg.kind = ActorMsgKind::kPollRequest;
+  std::vector<Envelope> batch = {Envelope{kCoordinatorId, 0, msg},
+                                 Envelope{kCoordinatorId, 1, msg},
+                                 Envelope{kCoordinatorId, 9, msg}};
+  EXPECT_FALSE(t.SendBatch(&batch));
+  EXPECT_TRUE(batch.empty());
+  // Nothing was delivered, not even the routable prefix.
+  std::vector<Envelope> got;
+  EXPECT_EQ(t.TryRecvWorkerAll(0, &got), 0u);
+  EXPECT_EQ(t.TryRecvWorkerAll(1, &got), 0u);
+  // A coordinator-bound envelope from a site out of range has no shard.
+  batch = {Envelope{2, kCoordinatorId, msg}, Envelope{7, kCoordinatorId, msg}};
+  EXPECT_FALSE(t.SendBatch(&batch));
+  EXPECT_TRUE(batch.empty());
+  Envelope e;
+  EXPECT_FALSE(t.TryRecvShard(0, &e));
+}
+
 TEST(ThreadTransportTest, SingleShardIsTheFlatCoordinatorInbox) {
   // RecvCoordinator is shard 0's inbox: the flat coordinator and every
   // pre-sharding caller keep working unchanged.

@@ -111,11 +111,71 @@ TEST(SocketTransportTest, RoutesEnvelopesBothWays) {
   workers[1]->Shutdown();
   coordinator->Shutdown();
   SocketStats stats = coordinator->stats();
-  EXPECT_EQ(stats.frames_sent, 4);
+  // Envelope counts are exact. Frame counts depend on writer timing: each
+  // writer coalesces whatever is queued into one kEnvelopeBatch frame, so
+  // the 4 outbound envelopes take 1 to 4 frames.
+  EXPECT_EQ(stats.envelopes_sent, 4);
+  EXPECT_EQ(stats.envelopes_received, 2);
+  EXPECT_GE(stats.frames_sent, 1);
+  EXPECT_LE(stats.frames_sent, 4);
   EXPECT_EQ(stats.frames_received, 2);
   EXPECT_GT(stats.bytes_sent, 0);
   EXPECT_EQ(stats.decode_errors, 0);
   EXPECT_EQ(stats.disconnects, 0);
+}
+
+TEST(SocketTransportTest, SendBatchTakesTheBatchAndRejectsUnroutable) {
+  auto listen = SocketTransport::Listen(/*num_sites=*/4, /*num_workers=*/2,
+                                        /*port=*/0, FastOptions());
+  ASSERT_TRUE(listen.ok());
+  auto coordinator = std::move(*listen);
+  auto workers = ConnectWorkers(coordinator.get(), 4, 2);
+  ASSERT_TRUE(workers[0] != nullptr && workers[1] != nullptr);
+
+  // An unroutable envelope rejects the whole batch: nothing is sent.
+  std::vector<Envelope> batch = {
+      ToSite(0, ActorMsgKind::kPollRequest, 1, 0),
+      ToSite(4, ActorMsgKind::kPollRequest, 1, 0)};
+  EXPECT_FALSE(coordinator->SendBatch(&batch));
+  EXPECT_TRUE(batch.empty());
+  std::vector<Envelope> to_site = {
+      ToCoordinator(0, ActorMsgKind::kAlarm, 1, 5),
+      ToSite(1, ActorMsgKind::kAlarm, 1, 5)};
+  EXPECT_FALSE(workers[0]->SendBatch(&to_site));
+  EXPECT_TRUE(to_site.empty());
+
+  // Routable batches are taken whole and arrive in order per connection.
+  for (int site = 0; site < 4; ++site) {
+    batch.push_back(ToSite(site, ActorMsgKind::kPollRequest, 2, 10 + site));
+  }
+  ASSERT_TRUE(coordinator->SendBatch(&batch));
+  EXPECT_TRUE(batch.empty());
+  for (int w = 0; w < 2; ++w) {
+    Envelope e;
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_TRUE(workers[static_cast<size_t>(w)]->RecvWorker(w, &e));
+      EXPECT_EQ(e.msg.epoch, 2);  // The rejected epoch-1 batch never came.
+      EXPECT_EQ(e.to, w + 2 * k);
+      EXPECT_EQ(e.msg.value, 10 + e.to);
+    }
+  }
+  to_site = {ToCoordinator(0, ActorMsgKind::kPollResponse, 2, 7),
+             ToCoordinator(2, ActorMsgKind::kPollResponse, 2, 8)};
+  ASSERT_TRUE(workers[0]->SendBatch(&to_site));
+  EXPECT_TRUE(to_site.empty());
+  Envelope e;
+  ASSERT_TRUE(coordinator->RecvCoordinator(&e));
+  EXPECT_EQ(e.from, 0);
+  EXPECT_EQ(e.msg.value, 7);
+  ASSERT_TRUE(coordinator->RecvCoordinator(&e));
+  EXPECT_EQ(e.from, 2);
+  EXPECT_EQ(e.msg.value, 8);
+
+  workers[0]->Shutdown();
+  workers[1]->Shutdown();
+  coordinator->Shutdown();
+  EXPECT_EQ(coordinator->stats().envelopes_sent, 4);
+  EXPECT_EQ(coordinator->stats().envelopes_received, 2);
 }
 
 TEST(SocketTransportTest, PreservesPerSenderOrderUnderLoad) {
