@@ -118,4 +118,34 @@ double EquiDepthHistogram::CumulativeAt(int64_t v) const {
   return cum_before + counts_[b] * frac;
 }
 
+int64_t EquiDepthHistogram::MinValueWithCumAtLeast(double target) const {
+  // CumulativeAt is monotone, so the smallest v with F(v) >= target is
+  // unique and any search that finds it agrees with the base class.
+  auto it = std::lower_bound(cum_.begin(), cum_.end(), target);
+  if (!(target > 0.0) || it == cum_.end()) {
+    return DistributionModel::MinValueWithCumAtLeast(target);
+  }
+  const size_t b = static_cast<size_t>(it - cum_.begin());
+  const int64_t lower = (b == 0) ? min_value_ - 1 : upper_[b - 1];
+  const double cum_before = (b == 0) ? 0.0 : cum_[b - 1];
+  int64_t v = upper_[b];
+  if (upper_[b] > lower && counts_[b] > 0.0) {
+    const double frac = (target - cum_before) / counts_[b];
+    v = lower + static_cast<int64_t>(
+                    std::ceil(frac * static_cast<double>(upper_[b] - lower)));
+    v = Clamp<int64_t>(v, std::max<int64_t>(lower, 0), upper_[b]);
+  }
+  // The guess is off by at most a rounding step; settle exactly.
+  for (int step = 0; step < 4; ++step) {
+    if (CumulativeAt(v) < target) {
+      ++v;
+    } else if (v > 0 && CumulativeAt(v - 1) >= target) {
+      --v;
+    } else {
+      return v;
+    }
+  }
+  return DistributionModel::MinValueWithCumAtLeast(target);
+}
+
 }  // namespace dcv

@@ -41,6 +41,12 @@ class EquiDepthHistogram : public DistributionModel {
   double total_weight() const override { return total_; }
   double CumulativeAt(int64_t v) const override;
 
+  /// Same result as the base class's binary search: inverts the
+  /// interpolation of the first bucket reaching `target`, then settles on
+  /// the smallest v with CumulativeAt(v) >= target by probing its
+  /// neighbours. O(log buckets) instead of O(log M) CumulativeAt calls.
+  int64_t MinValueWithCumAtLeast(double target) const override;
+
  private:
   EquiDepthHistogram(std::vector<int64_t> upper, std::vector<double> counts,
                      std::vector<double> cum, int64_t domain_max,

@@ -1,5 +1,6 @@
 #include "threshold/exact_dp.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/math_util.h"
@@ -37,16 +38,23 @@ Result<ThresholdSolution> ExactDpSolver::Solve(
   std::vector<std::vector<int64_t>> choice(
       n, std::vector<int64_t>(static_cast<size_t>(width), 0));
 
+  // log_prob[j] = ln G_i(j)/G_i(M) for every threshold j the budget admits.
+  std::vector<double> log_prob;
   for (size_t i = 0; i < n; ++i) {
     const ProblemVar& v = problem.vars[i];
     const int64_t m = v.cdf.domain_max();
     const double total = v.cdf.total();
+    const int64_t j_top = std::min(m, budget / v.weight);
+    log_prob.resize(static_cast<size_t>(j_top + 1));
+    for (int64_t j = 0; j <= j_top; ++j) {
+      log_prob[static_cast<size_t>(j)] = SafeLog(v.cdf.Cum(j) / total);
+    }
     for (int64_t s = 0; s <= budget; ++s) {
       double best = kNegInf;
       int64_t best_j = 0;
       const int64_t j_max = std::min(m, s / v.weight);
       for (int64_t j = 0; j <= j_max; ++j) {
-        double lp = SafeLog(v.cdf.Cum(j) / total) +
+        double lp = log_prob[static_cast<size_t>(j)] +
                     prev[static_cast<size_t>(s - v.weight * j)];
         if (lp > best) {
           best = lp;

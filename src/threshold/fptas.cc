@@ -1,6 +1,8 @@
 #include "threshold/fptas.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/math_util.h"
@@ -91,9 +93,13 @@ Result<ThresholdSolution> FptasSolver::SolveWithStats(
       std::ceil(-std::log(options_.prob_floor) / ln_alpha));
   const int64_t per_var_cap =
       std::min(options_.max_levels_per_var, max_deficit);
-  const int64_t natural_cap = static_cast<int64_t>(n) * per_var_cap;
-  const int64_t cell_cap = options_.max_dp_cells / static_cast<int64_t>(n);
-  const int64_t total_cap = std::min(natural_cap, cell_cap);
+  // Deficit columns 0..n * per_var_cap exist; the cell cap allows only
+  // max_dp_cells / n of them (each column is n cells).
+  const int64_t natural_columns =
+      static_cast<int64_t>(n) * per_var_cap + 1;
+  const int64_t cell_columns =
+      options_.max_dp_cells / static_cast<int64_t>(n);
+  const int64_t max_columns = std::min(natural_columns, cell_columns);
 
   std::vector<LevelGenerator> generators;
   generators.reserve(n);
@@ -113,25 +119,41 @@ Result<ThresholdSolution> FptasSolver::SolveWithStats(
   std::vector<std::vector<int32_t>> choice(n);
 
   int64_t p_star = -1;
-  for (int64_t p = 0; p <= total_cap; ++p) {
+  for (int64_t p = 0; p < max_columns; ++p) {
     dp[0].push_back(0);
     for (size_t i = 0; i < n; ++i) {
-      const ProblemVar& v = problem.vars[i];
+      const int64_t weight = problem.vars[i].weight;
       generators[i].ExtendTo(p);
+      // ExtendTo(p) yields only deficits <= p, starting with deficit 0
+      // (P(M) = 1). See the implementation note in fptas.h for the two
+      // exits below.
       const std::vector<Level>& lv = generators[i].levels();
+      const int64_t* prev = dp[i].data();
+      const size_t last = lv.size() - 1;
+      const int64_t min_cost = weight * lv[last].threshold;
+      const int64_t last_w = min_cost + prev[p - lv[last].deficit];
       int64_t best = std::numeric_limits<int64_t>::max();
       int32_t best_level = 0;
-      for (size_t k = 0; k < lv.size(); ++k) {
-        if (lv[k].deficit > p) {
-          break;  // Levels are sorted by deficit.
-        }
-        int64_t w = v.weight * lv[k].threshold +
-                    dp[i][static_cast<size_t>(p - lv[k].deficit)];
-        if (w < best) {
-          best = w;
-          best_level = static_cast<int32_t>(k);
+      size_t k = 0;
+      if (last > 0 && weight * lv[last - 1].threshold + prev[p] > last_w) {
+        // Flat tail: the cheapest level wins outright.
+        best = last_w;
+        best_level = static_cast<int32_t>(last);
+        k = 1;  // Level K is the one level evaluated.
+      } else {
+        for (; k < lv.size(); ++k) {
+          const int64_t tail = prev[p - lv[k].deficit];
+          if (min_cost + tail >= best) {
+            break;  // No level from k on can win.
+          }
+          const int64_t w = weight * lv[k].threshold + tail;
+          if (w < best) {
+            best = w;
+            best_level = static_cast<int32_t>(k);
+          }
         }
       }
+      stats->scanned_levels += static_cast<int64_t>(k);
       dp[i + 1].push_back(best);
       choice[i].push_back(best_level);
     }
@@ -152,6 +174,8 @@ Result<ThresholdSolution> FptasSolver::SolveWithStats(
     metrics_->counter("solver/fptas/solves")->Increment();
     metrics_->counter("solver/fptas/dp_cells")->Increment(stats->dp_cells);
     metrics_->counter("solver/fptas/levels")->Increment(stats->useful_levels);
+    metrics_->counter("solver/fptas/scanned_levels")
+        ->Increment(stats->scanned_levels);
     // Size of the rounding grid (explored deficit columns) of the most
     // recent solve — the quantity the 1/eps term of the FPTAS bound scales.
     metrics_->gauge("solver/fptas/rounding_grid")
@@ -159,7 +183,7 @@ Result<ThresholdSolution> FptasSolver::SolveWithStats(
   }
 
   if (p_star < 0) {
-    if (cell_cap < natural_cap) {
+    if (cell_columns < natural_columns) {
       // The search was truncated by the cell budget, not exhausted: report
       // the resource limit instead of silently degrading.
       return ResourceExhaustedError(

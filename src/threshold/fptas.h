@@ -23,6 +23,19 @@ namespace dcv {
 /// smallest deficit), which preserves optimality and bounds the transition
 /// fan-out by the number of distinct threshold values. The standard rounding
 /// argument gives prod P_i(T_i) >= OPT / alpha^n >= OPT / (1+eps).
+///
+/// Each cell D(i+1, p) = min_k c_k + D(i, p - s_k) scans the levels k of
+/// variable i in order but stops early. D(i, .) never increases with p, and
+/// the level costs c_k = A_i I_i(s_k) strictly decrease with k
+/// (deduplicated levels have strictly smaller thresholds). So every level
+/// k' >= k costs at least c_K + D(i, p - s_k), with K the last (cheapest)
+/// level, and once that bound reaches the best value found so far no later
+/// level can beat it. Likewise, when c_{K-1} + D(i, p) already exceeds
+/// level K's value, every level k < K costs more than K, and the scan is
+/// skipped (this is the common case once D(i, .) has gone flat, e.g. on
+/// budgets no column can meet). The scan keeps the earliest level on ties,
+/// so both exits yield the argmin, table, p* and thresholds of the full
+/// scan.
 class FptasSolver : public ThresholdSolver {
  public:
   struct Options {
@@ -38,8 +51,9 @@ class FptasSolver : public ThresholdSolver {
     /// Hard cap on deficit levels per variable.
     int64_t max_levels_per_var = 1'000'000;
 
-    /// Hard cap on DP cells n * (L+1); exceeding it returns
-    /// ResourceExhausted instead of thrashing.
+    /// Hard cap on DP cells n * (explored columns); the solver never
+    /// explores more, and returns ResourceExhausted when no feasible
+    /// column fits under it.
     int64_t max_dp_cells = 400'000'000;
 
     /// Spend leftover budget by raising thresholds toward the domain maxima
@@ -51,10 +65,14 @@ class FptasSolver : public ThresholdSolver {
   /// Per-run diagnostics (sizes the complexity analysis talks about).
   struct Stats {
     /// Largest deficit column the DP explored before stopping (== deficit
-    /// when a solution was found; the worst case is L = log_alpha(P-bar)).
+    /// when a solution was found; the worst case is L = log_alpha(P-bar);
+    /// -1 when max_dp_cells < n leaves room for no column).
     int64_t total_levels = 0;
     int64_t useful_levels = 0;  ///< Deduplicated (s, I) pairs across vars.
     int64_t dp_cells = 0;       ///< n * (explored columns).
+    int64_t scanned_levels = 0; ///< Levels the min-plus scans evaluated,
+                                ///< summed over cells (pruning shows as
+                                ///< scanned_levels / dp_cells).
     int64_t deficit = 0;        ///< p*: total deficit of the returned
                                 ///< solution (-1 when degenerate).
   };

@@ -1,5 +1,9 @@
 #include "histogram/equi_depth.h"
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -122,6 +126,77 @@ TEST(EquiDepthTest, InverseLookupConsistency) {
     if (v > 0) {
       EXPECT_LT(h->CumulativeAt(v - 1), target);
     }
+  }
+}
+
+// The bucket-inverting lookup must return exactly what the base class's
+// binary search over CumulativeAt returns, for every kind of target.
+void ExpectInverseMatchesBinarySearch(const EquiDepthHistogram& h, Rng& rng) {
+  const DistributionModel& base = h;
+  std::vector<double> targets = {-1.0, 0.0, 1e-300, h.total_weight(),
+                                 h.total_weight() * 1.5};
+  for (int64_t v = -1; v <= h.domain_max() + 1;
+       v += std::max<int64_t>(1, h.domain_max() / 200)) {
+    const double c = h.CumulativeAt(v);
+    targets.push_back(c);
+    targets.push_back(std::nextafter(c, 0.0));
+    targets.push_back(std::nextafter(c, 1e300));
+  }
+  for (int k = 0; k < 200; ++k) {
+    targets.push_back(rng.UniformDouble(0.0, h.total_weight()));
+    // The FPTAS's level targets: total * alpha^-s.
+    targets.push_back(h.total_weight() * std::exp(-0.01 * k));
+  }
+  for (double t : targets) {
+    EXPECT_EQ(h.MinValueWithCumAtLeast(t),
+              base.DistributionModel::MinValueWithCumAtLeast(t))
+        << "target " << t;
+  }
+}
+
+TEST(EquiDepthTest, InverseMatchesBinarySearchOnBuiltHistograms) {
+  Rng rng(15);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int64_t m = rng.UniformInt(0, trial % 3 == 0 ? 20 : 5'000'000);
+    std::vector<int64_t> data;
+    const int count = static_cast<int>(rng.UniformInt(1, 2000));
+    const int64_t spread = rng.UniformInt(1, m + 1);
+    for (int k = 0; k < count; ++k) {
+      // Lognormal bulk plus duplicates and values clamped at the domain max.
+      data.push_back(trial % 4 == 0
+                         ? rng.UniformInt(0, 3) * spread / 3
+                         : static_cast<int64_t>(rng.LogNormal(
+                               std::log(static_cast<double>(spread)), 1.0)));
+    }
+    auto h = EquiDepthHistogram::Build(
+        data, m, static_cast<int>(rng.UniformInt(1, 120)));
+    ASSERT_TRUE(h.ok());
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ExpectInverseMatchesBinarySearch(*h, rng);
+  }
+}
+
+TEST(EquiDepthTest, InverseMatchesBinarySearchOnBoundaryHistograms) {
+  // Fractional counts, empty buckets and repeated boundaries, as sketch
+  // conversions produce them.
+  Rng rng(16);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int64_t m = rng.UniformInt(1, 100'000);
+    const int buckets = static_cast<int>(rng.UniformInt(1, 40));
+    std::vector<int64_t> upper;
+    std::vector<double> counts;
+    for (int b = 0; b < buckets; ++b) {
+      upper.push_back(rng.UniformInt(0, m));
+      counts.push_back(rng.UniformInt(0, 3) == 0
+                           ? 0.0
+                           : rng.UniformDouble(0.1, 50.0));
+    }
+    std::sort(upper.begin(), upper.end());
+    counts[0] += 1.0;  // Nonzero total.
+    auto h = EquiDepthHistogram::FromBoundaries(upper, counts, m);
+    ASSERT_TRUE(h.ok());
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ExpectInverseMatchesBinarySearch(*h, rng);
   }
 }
 

@@ -1,6 +1,8 @@
 #include "threshold/fptas.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -10,7 +12,10 @@
 #include "common/rng.h"
 #include "histogram/empirical_cdf.h"
 #include "histogram/equi_depth.h"
+#include "runtime/plan.h"
 #include "threshold/exact_dp.h"
+#include "trace/snmp_synth.h"
+#include "trace/stats.h"
 
 namespace dcv {
 namespace {
@@ -185,7 +190,26 @@ TEST(FptasTest, DpCellGuard) {
   options.eps = 0.001;
   options.max_dp_cells = 8;
   FptasSolver solver(options);
-  EXPECT_EQ(solver.Solve(p).status().code(), StatusCode::kResourceExhausted);
+  FptasSolver::Stats stats;
+  EXPECT_EQ(solver.SolveWithStats(p, &stats).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_LE(stats.dp_cells, options.max_dp_cells);
+  EXPECT_EQ(stats.dp_cells, 8);
+}
+
+TEST(FptasTest, MetricsCountScannedLevels) {
+  Rng rng(31);
+  RandomInstance inst = MakeRandomInstance(rng, 5, 50, 100);
+  obs::MetricsRegistry registry;
+  FptasSolver solver(0.05);
+  solver.set_metrics(&registry);
+  FptasSolver::Stats stats;
+  ASSERT_TRUE(solver.SolveWithStats(inst.problem, &stats).ok());
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_GT(stats.scanned_levels, 0);
+  EXPECT_EQ(snap.counters.at("solver/fptas/scanned_levels"),
+            stats.scanned_levels);
+  EXPECT_EQ(snap.counters.at("solver/fptas/dp_cells"), stats.dp_cells);
 }
 
 TEST(FptasTest, SmallerEpsNeverWorse) {
@@ -215,6 +239,269 @@ TEST(FptasTest, MirroredProblemRespectsBudget) {
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(SatisfiesBudget(p, sol->thresholds));
   EXPECT_GT(sol->log_probability, kNegInf);
+}
+
+// The FPTAS table fill with the full min-plus scan: every cell evaluates
+// every level with deficit <= p. FptasSolver must return exactly what this
+// returns (its scan stops early on a bound that cannot change the argmin).
+// Stats::scanned_levels here counts every level of every cell.
+Result<ThresholdSolution> ReferenceSolve(const FptasSolver::Options& options,
+                                         const ThresholdProblem& problem,
+                                         FptasSolver::Stats* stats) {
+  struct Level {
+    int64_t deficit = 0;
+    int64_t threshold = 0;
+  };
+  struct Generator {
+    const CdfView* cdf = nullptr;
+    int64_t max_levels = 0;
+    int64_t t_floor = 0;
+    int64_t next_s = 0;
+    bool exhausted = false;
+    std::vector<Level> levels;
+  };
+  *stats = FptasSolver::Stats{};
+  const size_t n = problem.vars.size();
+  if (n == 0) {
+    return ThresholdSolution{};
+  }
+  const double ln_alpha =
+      std::log1p(options.eps / (2.0 * static_cast<double>(n)));
+  const int64_t max_deficit = static_cast<int64_t>(
+      std::ceil(-std::log(options.prob_floor) / ln_alpha));
+  const int64_t per_var_cap = std::min(options.max_levels_per_var, max_deficit);
+  const int64_t natural_columns = static_cast<int64_t>(n) * per_var_cap + 1;
+  const int64_t cell_columns =
+      options.max_dp_cells / static_cast<int64_t>(n);
+  std::vector<Generator> gens;
+  for (const ProblemVar& v : problem.vars) {
+    int64_t t_floor = v.cdf.MinValueWithProbAtLeast(options.prob_floor);
+    Generator g;
+    g.cdf = &v.cdf;
+    g.max_levels = per_var_cap;
+    g.t_floor = std::min(t_floor, v.cdf.domain_max());
+    gens.push_back(g);
+  }
+  auto extend_to = [&](Generator& g, int64_t p) {
+    while (!g.exhausted && g.next_s <= std::min(p, g.max_levels)) {
+      double target = std::exp(-static_cast<double>(g.next_s) * ln_alpha);
+      int64_t t = g.cdf->MinValueWithProbAtLeast(target);
+      if (t <= g.cdf->domain_max() &&
+          (g.levels.empty() || t < g.levels.back().threshold)) {
+        if (t <= g.t_floor) {
+          t = g.t_floor;
+          g.exhausted = true;
+        }
+        if (g.levels.empty() || t < g.levels.back().threshold) {
+          g.levels.push_back(Level{g.next_s, t});
+        }
+      }
+      ++g.next_s;
+    }
+    if (g.next_s > g.max_levels) {
+      g.exhausted = true;
+    }
+  };
+
+  std::vector<std::vector<int64_t>> dp(n + 1);
+  std::vector<std::vector<int32_t>> choice(n);
+  int64_t p_star = -1;
+  for (int64_t p = 0; p < std::min(natural_columns, cell_columns); ++p) {
+    dp[0].push_back(0);
+    for (size_t i = 0; i < n; ++i) {
+      extend_to(gens[i], p);
+      const std::vector<Level>& lv = gens[i].levels;
+      int64_t best = std::numeric_limits<int64_t>::max();
+      int32_t best_level = 0;
+      for (size_t k = 0; k < lv.size(); ++k) {
+        if (lv[k].deficit > p) {
+          break;
+        }
+        ++stats->scanned_levels;
+        int64_t w = problem.vars[i].weight * lv[k].threshold +
+                    dp[i][static_cast<size_t>(p - lv[k].deficit)];
+        if (w < best) {
+          best = w;
+          best_level = static_cast<int32_t>(k);
+        }
+      }
+      dp[i + 1].push_back(best);
+      choice[i].push_back(best_level);
+    }
+    if (dp[n].back() <= problem.budget) {
+      p_star = p;
+      break;
+    }
+  }
+  stats->deficit = p_star;
+  for (const Generator& g : gens) {
+    stats->useful_levels += static_cast<int64_t>(g.levels.size());
+  }
+  stats->total_levels = static_cast<int64_t>(dp[1].size()) - 1;
+  stats->dp_cells =
+      static_cast<int64_t>(n) * static_cast<int64_t>(dp[1].size());
+  if (p_star < 0) {
+    if (cell_columns < natural_columns) {
+      return ResourceExhaustedError("cell cap");
+    }
+    return DegenerateFallback(problem);
+  }
+  ThresholdSolution solution;
+  solution.thresholds.assign(n, 0);
+  int64_t p = p_star;
+  for (size_t i = n; i-- > 0;) {
+    const Level& lv =
+        gens[i].levels[static_cast<size_t>(choice[i][static_cast<size_t>(p)])];
+    solution.thresholds[i] = lv.threshold;
+    p -= lv.deficit;
+  }
+  if (options.redistribute_slack) {
+    RedistributeSlack(problem, &solution.thresholds);
+  }
+  solution.log_probability = LogProbability(problem, solution.thresholds);
+  return solution;
+}
+
+// Solves with FptasSolver, expects every output to equal the reference's
+// (the pruned scan may only evaluate fewer levels), and returns
+// FptasSolver's result.
+Result<ThresholdSolution> SolveAndCompare(const FptasSolver::Options& options,
+                                          const ThresholdProblem& problem,
+                                          FptasSolver::Stats* stats) {
+  FptasSolver::Stats want_stats;
+  auto got = FptasSolver(options).SolveWithStats(problem, stats);
+  auto want = ReferenceSolve(options, problem, &want_stats);
+  EXPECT_EQ(got.status().code(), want.status().code());
+  EXPECT_EQ(stats->total_levels, want_stats.total_levels);
+  EXPECT_EQ(stats->useful_levels, want_stats.useful_levels);
+  EXPECT_EQ(stats->dp_cells, want_stats.dp_cells);
+  EXPECT_EQ(stats->deficit, want_stats.deficit);
+  EXPECT_LE(stats->scanned_levels, want_stats.scanned_levels);
+  EXPECT_LE(stats->dp_cells, options.max_dp_cells);
+  if (got.ok() && want.ok()) {
+    EXPECT_EQ(got->thresholds, want->thresholds);
+    EXPECT_EQ(got->log_probability, want->log_probability);
+    EXPECT_EQ(got->degenerate, want->degenerate);
+  }
+  return got;
+}
+
+TEST(FptasEquivalenceTest, MatchesFullScanOnRandomInstances) {
+  Rng rng(2024);
+  const double eps_values[] = {0.5, 0.2, 0.05, 0.01};
+  int solved = 0;
+  int degenerate = 0;
+  int exhausted = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    RandomInstance inst = MakeRandomInstance(rng, 6, 40, 80);
+    for (ProblemVar& v : inst.problem.vars) {
+      v.cdf = CdfView(v.cdf.model(), rng.UniformInt(0, 1) == 1);
+    }
+    FptasSolver::Options options;
+    options.eps = eps_values[rng.UniformInt(0, 3)];
+    options.redistribute_slack = rng.UniformInt(0, 1) == 1;
+    if (rng.UniformInt(0, 4) == 0) {
+      options.max_levels_per_var = rng.UniformInt(1, 50);
+    }
+    if (rng.UniformInt(0, 4) == 0) {
+      options.max_dp_cells = rng.UniformInt(1, 400);
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    FptasSolver::Stats stats;
+    auto sol = SolveAndCompare(options, inst.problem, &stats);
+    if (!sol.ok()) {
+      ++exhausted;
+    } else if (sol->degenerate) {
+      ++degenerate;
+    } else {
+      ++solved;
+    }
+  }
+  // The mix must reach every exit of the solver.
+  EXPECT_GT(solved, 100);
+  EXPECT_GT(degenerate, 0);
+  EXPECT_GT(exhausted, 0);
+}
+
+TEST(FptasEquivalenceTest, MatchesFullScanOnTieHeavyData) {
+  // Few distinct values, repeated variables and equal weights make many
+  // levels cost the same, so ties decide the argmin.
+  Rng rng(99);
+  for (int trial = 0; trial < 100; ++trial) {
+    const int64_t m = rng.UniformInt(2, 12);
+    std::vector<std::unique_ptr<EmpiricalCdf>> models;
+    const int distinct = static_cast<int>(rng.UniformInt(1, 3));
+    for (int d = 0; d < distinct; ++d) {
+      std::vector<int64_t> data;
+      const int64_t a = rng.UniformInt(0, m);
+      const int64_t b = rng.UniformInt(0, m);
+      for (int k = 0; k < 12; ++k) {
+        data.push_back(k % 3 == 0 ? b : a);
+      }
+      models.push_back(std::make_unique<EmpiricalCdf>(data, m));
+    }
+    ThresholdProblem p;
+    const int n = static_cast<int>(rng.UniformInt(2, 8));
+    const int64_t weight = rng.UniformInt(1, 3);
+    for (int i = 0; i < n; ++i) {
+      p.vars.push_back(ProblemVar{
+          i, weight,
+          CdfView(models[static_cast<size_t>(i % distinct)].get(),
+                  trial % 2 == 1)});
+    }
+    p.budget = rng.UniformInt(0, weight * m * n);
+    FptasSolver::Options options;
+    options.eps = trial % 3 == 0 ? 0.5 : 0.05;
+    // Slack redistribution can hide which of two tied levels was kept.
+    options.redistribute_slack = trial % 4 < 2;
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    FptasSolver::Stats stats;
+    SolveAndCompare(options, p, &stats);
+  }
+}
+
+// Checks FptasSolver against the reference on whatever problem
+// BuildLocalPlan hands it, and plans with FptasSolver's result.
+class ComparingSolver : public ThresholdSolver {
+ public:
+  std::string_view name() const override { return "fptas"; }
+  Result<ThresholdSolution> Solve(
+      const ThresholdProblem& problem) const override {
+    return SolveAndCompare(options_, problem, &last_stats_);
+  }
+  const FptasSolver::Stats& last_stats() const { return last_stats_; }
+
+ private:
+  FptasSolver::Options options_;
+  mutable FptasSolver::Stats last_stats_;
+};
+
+TEST(FptasEquivalenceTest, MatchesFullScanOnSnmpPlan) {
+  // The plan of perfbench's plan_replay workload at seed 1: 32 SNMP-like
+  // sites, one training week, a global threshold that 1% of the 12
+  // evaluation weeks exceed.
+  SnmpTraceOptions gen;
+  gen.num_sites = 32;
+  gen.num_weeks = 13;
+  gen.seed = 1;
+  gen.shape_spread = 0.3;
+  gen.site_scale_sigma = 0.5;
+  gen.bimodal_fraction = 0.0;
+  auto trace = GenerateSnmpTrace(gen);
+  ASSERT_TRUE(trace.ok());
+  const int64_t train = EpochsPerWeek(gen);
+  auto training = trace->Slice(0, train);
+  auto eval = trace->Slice(train, trace->num_epochs());
+  ASSERT_TRUE(training.ok() && eval.ok());
+  auto budget = ThresholdForOverflowFraction(*eval, {}, 0.01);
+  ASSERT_TRUE(budget.ok());
+  ComparingSolver solver;
+  auto plan = BuildLocalPlan(*training, std::vector<int64_t>(32, 1), *budget,
+                             solver);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(solver.last_stats().dp_cells, 119296);
+  // The bound skips most of the full scan's ~222M level evaluations.
+  EXPECT_LT(solver.last_stats().scanned_levels, 100'000'000);
 }
 
 }  // namespace
