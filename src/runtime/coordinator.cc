@@ -69,6 +69,8 @@ Status CoordinatorActor::Init() {
   if (config_.metrics != nullptr) {
     alarms_rx_ = config_.metrics->counter("runtime/coordinator/alarms");
     polls_ = config_.metrics->counter("runtime/coordinator/polls");
+    barrier_envelopes_ =
+        config_.metrics->counter("runtime/coordinator/barrier_envelopes");
     epoch_us_ =
         config_.metrics->histogram("runtime/coordinator/epoch_us",
                                    obs::Histogram::DefaultLatencyBoundsUs());
@@ -81,201 +83,6 @@ Status CoordinatorActor::Init() {
         "runtime/detection_lag_epochs",
         obs::Histogram::ExponentialBounds(1.0, 2.0, 16));
   }
-  return OkStatus();
-}
-
-Status CoordinatorActor::PollRound(Transport* transport, int64_t epoch,
-                                   std::vector<int64_t>* values) {
-  DCV_OBS_COUNT(polls_, 1);
-  ActorMessage request;
-  request.kind = ActorMsgKind::kPollRequest;
-  request.epoch = epoch;
-  poll_requests_.clear();
-  poll_requests_.reserve(static_cast<size_t>(config_.num_sites));
-  for (int i = 0; i < config_.num_sites; ++i) {
-    poll_requests_.push_back(Envelope{kCoordinatorId, i, request});
-  }
-  if (!transport->SendBatch(&poll_requests_)) {
-    return InternalError("transport closed during poll round");
-  }
-  values->assign(static_cast<size_t>(config_.num_sites), 0);
-  int pending = config_.num_sites;
-  while (pending > 0) {
-    poll_responses_.clear();
-    if (transport->RecvShardAll(0, &poll_responses_) == 0) {
-      return InternalError("transport closed while collecting poll responses");
-    }
-    for (const Envelope& e : poll_responses_) {
-      if (e.msg.kind != ActorMsgKind::kPollResponse) {
-        return InternalError(std::string("unexpected ") +
-                             std::string(ActorMsgKindName(e.msg.kind)) +
-                             " during poll round");
-      }
-      (*values)[static_cast<size_t>(e.from)] = e.msg.value;
-      --pending;
-    }
-  }
-  return OkStatus();
-}
-
-Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
-                                    RuntimeResult* out) {
-  if (config_.num_shards > 1) {
-    return RunVirtualSharded(transport, num_epochs, out);
-  }
-  out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
-                      ? "local-threshold"
-                      : "polling";
-  out->mode = "virtual";
-  out->epochs = num_epochs;
-  out->detections.clear();
-  out->detections.reserve(static_cast<size_t>(num_epochs));
-
-  const int n = config_.num_sites;
-  std::vector<char> alarmed(static_cast<size_t>(n), 0);
-  std::vector<int64_t> alarm_value(static_cast<size_t>(n), 0);
-  std::vector<int64_t> poll_values;
-  // Reused per-epoch batches: SendBatch hands `starts` back empty with a
-  // recycled buffer, and RecvShardAll swaps a whole burst into `reports`.
-  std::vector<Envelope> starts;
-  std::vector<Envelope> reports;
-  const ResolvedChaos chaos =
-      ResolveChaos(config_.chaos, num_epochs, transport->num_workers());
-
-  for (int64_t t = 0; t < num_epochs; ++t) {
-    obs::ScopedTimer epoch_timer(epoch_us_);
-    if (config_.chaos.kind == ChaosKind::kKillWorker &&
-        t == chaos.fire_epoch) {
-      // Sever one worker link mid-run. On the socket transport the worker
-      // redials and the seq replay heals the stream, so the run (and the
-      // Channel's RNG stream) is unaffected; transports without severable
-      // links report Unimplemented, which is fine to ignore.
-      Status severed = transport->InjectPeerFailure(chaos.target);
-      (void)severed;
-    }
-    // Same call order as the lockstep runner + scheme, so the channel's RNG
-    // stream (and thus every fault fate) is bit-identical.
-    channel_.BeginEpoch(t);
-
-    // Recovered sites missed threshold pushes while down: re-sync. The wire
-    // send goes through the channel (charged + can itself be lost); the
-    // transport push carries the ground truth only when the wire said the
-    // update got through. It is sent before this epoch's kEpochStart, and
-    // the mailbox is per-producer FIFO, so the site installs the threshold
-    // before it evaluates — exactly the lockstep scheme, which re-syncs at
-    // the top of OnEpoch.
-    if (config_.protocol == RuntimeProtocol::kLocalThreshold &&
-        !channel_.newly_recovered().empty()) {
-      const std::vector<int> recovered = channel_.newly_recovered();
-      for (int i : recovered) {
-        SendStatus s = channel_.SendToSite(i, MessageType::kThresholdUpdate,
-                                           /*reliable=*/true);
-        if (s == SendStatus::kDelivered || s == SendStatus::kDelayed) {
-          ActorMessage update;
-          update.kind = ActorMsgKind::kThresholdUpdate;
-          update.epoch = t;
-          update.value = config_.thresholds[static_cast<size_t>(i)];
-          if (!transport->Send(Envelope{kCoordinatorId, i, update})) {
-            return InternalError("transport closed during threshold re-sync");
-          }
-          DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kThresholdUpdate,
-                        t, i, config_.thresholds[static_cast<size_t>(i)]);
-        }
-      }
-      channel_.CountResync(static_cast<int64_t>(recovered.size()));
-    }
-
-    // Epoch barrier: every site observes its value and reports back whether
-    // its local constraint fired. These are synchronization messages (they
-    // model the passage of simulated time), not protocol traffic — the
-    // protocol's alarms are replayed through the channel below. One
-    // SendBatch per epoch fans the starts out; reports drain back in
-    // bursts. Batching cannot perturb detections: alarms are replayed in
-    // ascending site order after every report is in, so arrival order
-    // never reaches the channel.
-    starts.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      ActorMessage start;
-      start.kind = ActorMsgKind::kEpochStart;
-      start.epoch = t;
-      start.flag = channel_.SiteUp(i);
-      starts.push_back(Envelope{kCoordinatorId, i, start});
-    }
-    if (!transport->SendBatch(&starts)) {
-      return InternalError("transport closed during epoch start");
-    }
-    std::fill(alarmed.begin(), alarmed.end(), 0);
-    int reports_pending = n;
-    while (reports_pending > 0) {
-      reports.clear();
-      if (transport->RecvShardAll(0, &reports) == 0) {
-        return InternalError("transport closed while collecting reports");
-      }
-      for (const Envelope& e : reports) {
-        if (e.msg.kind != ActorMsgKind::kEpochReport || e.msg.epoch != t) {
-          return InternalError("out-of-order message at epoch barrier");
-        }
-        alarmed[static_cast<size_t>(e.from)] = e.msg.flag ? 1 : 0;
-        alarm_value[static_cast<size_t>(e.from)] = e.msg.value;
-        --reports_pending;
-      }
-    }
-
-    EpochDetection det;
-    det.epoch = t;
-    if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
-      // Delayed alarms arriving now still trigger a poll; late reports of
-      // other kinds are consumed and ignored (mirrors the lockstep scheme).
-      std::vector<Channel::Arrival> stale_alarms =
-          channel_.TakeArrivals(MessageType::kAlarm);
-      channel_.TakeArrivals(MessageType::kFilterReport);
-
-      int delivered_alarms = 0;
-      for (int i = 0; i < n; ++i) {
-        if (!alarmed[static_cast<size_t>(i)]) {
-          continue;
-        }
-        ++det.num_alarms;
-        DCV_OBS_COUNT(alarms_rx_, 1);
-        SendStatus s =
-            channel_.SendFromSite(i, MessageType::kAlarm, /*reliable=*/true,
-                                  alarm_value[static_cast<size_t>(i)]);
-        if (s == SendStatus::kDelivered) {
-          ++delivered_alarms;
-        }
-      }
-      if (delivered_alarms > 0 || !stale_alarms.empty()) {
-        DCV_RETURN_IF_ERROR(PollRound(transport, t, &poll_values));
-        PollOutcome poll = channel_.PollSites(poll_values, config_.weights,
-                                              config_.domain_max);
-        det.polled = true;
-        det.violation_reported = poll.weighted_sum > config_.global_threshold;
-      }
-    } else {  // kPolling
-      if (t % config_.poll_period == 0) {
-        DCV_RETURN_IF_ERROR(PollRound(transport, t, &poll_values));
-        PollOutcome poll = channel_.PollSites(poll_values, config_.weights,
-                                              /*pessimistic=*/{});
-        det.polled = true;
-        det.violation_reported = poll.weighted_sum > config_.global_threshold;
-      }
-    }
-    out->detections.push_back(det);
-  }
-
-  ActorMessage shutdown;
-  shutdown.kind = ActorMsgKind::kShutdown;
-  std::vector<Envelope> shutdowns;
-  shutdowns.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    shutdowns.push_back(Envelope{kCoordinatorId, i, shutdown});
-  }
-  transport->SendBatch(&shutdowns);
-  // The poll buffers are sized for the run; release them with it.
-  poll_requests_ = std::vector<Envelope>();
-  poll_responses_ = std::vector<Envelope>();
-  out->messages = counter_;
-  out->reliability = channel_.stats();
   return OkStatus();
 }
 
@@ -434,9 +241,8 @@ Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
   return OkStatus();
 }
 
-Status CoordinatorActor::RunVirtualSharded(Transport* transport,
-                                           int64_t num_epochs,
-                                           RuntimeResult* out) {
+Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
+                                    RuntimeResult* out) {
   out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
                       ? "local-threshold"
                       : "polling";
@@ -457,29 +263,41 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
       config_.chaos.kind == ChaosKind::kKillWorker ? transport->num_workers()
                                                    : k);
 
-  // Spawn the shard coordinators. Virtual-time shards are channel-free
-  // relays: they run the epoch barrier and poll fan-out for their site
-  // range and feed ground truth back; every Channel call stays on this
-  // thread in flat-coordinator order, so the run is bit-identical to the
-  // lockstep simulator for any k.
-  const LocalPlan plan{config_.thresholds, config_.domain_max};
+  // Legs this thread runs itself: the one shard of a 1-shard run from the
+  // start, and any shard whose coordinator thread died (direct attachment:
+  // the root re-executes the dead shard's pending command from its own copy
+  // and runs every later command for that range inline). Both run the exact
+  // leg code a shard thread runs, so the sites see one producer and
+  // identical traffic.
+  std::vector<char> inline_leg(static_cast<size_t>(k), k == 1 ? 1 : 0);
+  std::vector<ShardCmd> pending_cmds(static_cast<size_t>(k));
+  ShardLegBuffers inline_buffers;
+  inline_buffers.barrier_envelopes = barrier_envelopes_;
+
+  // Spawn the shard coordinators of a sharded run. Virtual-time shards are
+  // channel-free relays: they run the epoch barrier and poll fan-out for
+  // their site range and feed ground truth back; every Channel call stays
+  // on this thread in ascending site order, so the run is bit-identical to
+  // the lockstep simulator for any k.
   Mailbox<RootMsg> root_box(static_cast<size_t>(4 * k + 16));
   std::vector<std::unique_ptr<Mailbox<ShardCmd>>> cmd_boxes;
   std::vector<std::thread> shards;
   cmd_boxes.reserve(static_cast<size_t>(k));
-  shards.reserve(static_cast<size_t>(k));
   for (int s = 0; s < k; ++s) {
     cmd_boxes.push_back(std::make_unique<Mailbox<ShardCmd>>(4));
   }
   for (int s = 0; s < k; ++s) {
+    if (inline_leg[static_cast<size_t>(s)]) {
+      continue;
+    }
     ShardContext ctx;
     ctx.shard = s;
     ctx.layout = layout;
     ctx.transport = transport;
     ctx.cmds = cmd_boxes[static_cast<size_t>(s)].get();
     ctx.to_root = &root_box;
-    ctx.plan = SliceForShard(plan, layout, s);
     ctx.protocol = config_.protocol;
+    ctx.barrier_envelopes = barrier_envelopes_;
     if (config_.chaos.kind == ChaosKind::kKillShard && s == chaos.target) {
       ctx.die_at_epoch = chaos.fire_epoch;
     }
@@ -499,50 +317,33 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
     return status;
   };
 
-  // Recovery state: a dead shard's sites are re-adopted by this thread
-  // (direct attachment) — the root re-executes the shard's pending command
-  // from its own copy and runs every later command for that range inline.
-  // The shard legs are the exact code the shard thread runs, and the plan
-  // re-slices from the root's full copy, so the sites see one producer and
-  // identical traffic; the Channel call sequence never changes.
-  std::vector<char> dead(static_cast<size_t>(k), 0);
-  std::vector<ShardCmd> pending_cmds(static_cast<size_t>(k));
+  // Per-round partials: alarmed sites per shard (epoch legs) and every
+  // site's poll response, indexed by site (poll legs; inline legs write
+  // their range in place).
+  std::vector<std::vector<std::pair<int, int64_t>>> partials(
+      static_cast<size_t>(k));
+  std::vector<int64_t> poll_values(static_cast<size_t>(n), 0);
+  auto run_leg = [&](int s) -> Status {
+    const ShardCmd& cmd = pending_cmds[static_cast<size_t>(s)];
+    if (cmd.kind == ShardCmd::Kind::kEpoch) {
+      return ShardEpochLeg(transport, layout, s, cmd, &inline_buffers,
+                           &partials[static_cast<size_t>(s)]);
+    }
+    return ShardPollLeg(transport, layout, s, cmd.epoch, &inline_buffers,
+                        poll_values.data() + layout.ShardStart(s));
+  };
 
-  // Collects one partial per live shard for the current round; arrival
+  // Collects one partial per threaded shard for the current round; arrival
   // order across shards is free, content is not. A heartbeat timeout with
   // nothing delivered marks the still-missing shards dead and re-executes
   // their pending command inline.
-  std::vector<std::vector<std::pair<int, int64_t>>> partials(
-      static_cast<size_t>(k));
   std::vector<RootMsg> root_batch;
-  ShardLegBuffers inline_buffers;  ///< For legs the root runs itself.
-  auto recover = [&](int s, RootMsg::Kind want) -> Status {
-    const auto t0 = std::chrono::steady_clock::now();
-    dead[static_cast<size_t>(s)] = 1;
-    Status st =
-        want == RootMsg::Kind::kEpochPartial
-            ? ShardEpochLeg(transport, layout, s,
-                            SliceForShard(plan, layout, s),
-                            pending_cmds[static_cast<size_t>(s)],
-                            &inline_buffers, &partials[static_cast<size_t>(s)])
-            : ShardPollLeg(transport, layout, s,
-                           pending_cmds[static_cast<size_t>(s)].epoch,
-                           &inline_buffers, &partials[static_cast<size_t>(s)]);
-    ++out->shard_recoveries;
-    out->recovery_ms = std::max(
-        out->recovery_ms, static_cast<double>(ElapsedUs(t0)) / 1000.0);
-    return st;
-  };
-  auto collect = [&](RootMsg::Kind want, int64_t epoch) -> Status {
-    std::vector<char> got(static_cast<size_t>(k), 0);
-    int expected = 0;
-    for (int s = 0; s < k; ++s) {
-      if (dead[static_cast<size_t>(s)]) {
-        got[static_cast<size_t>(s)] = 1;  // Already executed inline.
-      } else {
-        ++expected;
-      }
-    }
+  auto collect = [&](ShardCmd::Kind kind, int64_t epoch) -> Status {
+    const RootMsg::Kind want = kind == ShardCmd::Kind::kEpoch
+                                   ? RootMsg::Kind::kEpochPartial
+                                   : RootMsg::Kind::kPollPartial;
+    std::vector<char> got(inline_leg);  // Inline legs already ran.
+    int expected = static_cast<int>(std::count(got.begin(), got.end(), 0));
     int received = 0;
     while (received < expected) {
       root_batch.clear();
@@ -572,7 +373,12 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
             ev.value = s;
             config_.recorder->Record(ev);
           }
-          DCV_RETURN_IF_ERROR(recover(s, want));
+          const auto t0 = std::chrono::steady_clock::now();
+          inline_leg[static_cast<size_t>(s)] = 1;
+          DCV_RETURN_IF_ERROR(run_leg(s));
+          ++out->shard_recoveries;
+          out->recovery_ms = std::max(
+              out->recovery_ms, static_cast<double>(ElapsedUs(t0)) / 1000.0);
           got[static_cast<size_t>(s)] = 1;
           --expected;
         }
@@ -585,7 +391,12 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
         if (msg.kind != want || msg.epoch != epoch) {
           return InternalError("out-of-order shard partial");
         }
-        partials[static_cast<size_t>(msg.shard)] = std::move(msg.entries);
+        if (want == RootMsg::Kind::kEpochPartial) {
+          partials[static_cast<size_t>(msg.shard)] = std::move(msg.entries);
+        } else {
+          std::copy(msg.values.begin(), msg.values.end(),
+                    poll_values.begin() + layout.ShardStart(msg.shard));
+        }
         got[static_cast<size_t>(msg.shard)] = 1;
         ++received;
       }
@@ -593,44 +404,54 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
     return OkStatus();
   };
 
-  std::vector<int64_t> poll_values(static_cast<size_t>(n), 0);
-  std::vector<std::vector<int>> resync(static_cast<size_t>(k));
-  auto poll_shards = [&](int64_t t) -> Status {
-    DCV_OBS_COUNT(polls_, 1);
+  // One round over every shard: commands to the threaded shards first, so
+  // they work while this thread runs the inline legs, then the partials.
+  auto run_round = [&](ShardCmd::Kind kind) -> Status {
     for (int s = 0; s < k; ++s) {
-      ShardCmd cmd;
-      cmd.kind = ShardCmd::Kind::kPoll;
-      cmd.epoch = t;
-      pending_cmds[static_cast<size_t>(s)] = cmd;
-      if (dead[static_cast<size_t>(s)]) {
-        continue;  // Run inline below, after the live shards are going.
-      }
-      if (!cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd))) {
+      if (!inline_leg[static_cast<size_t>(s)] &&
+          !cmd_boxes[static_cast<size_t>(s)]->Push(
+              ShardCmd(pending_cmds[static_cast<size_t>(s)]))) {
         return InternalError("shard command box closed");
       }
     }
     for (int s = 0; s < k; ++s) {
-      if (dead[static_cast<size_t>(s)]) {
-        DCV_RETURN_IF_ERROR(
-            ShardPollLeg(transport, layout, s, t, &inline_buffers,
-                         &partials[static_cast<size_t>(s)]));
+      if (inline_leg[static_cast<size_t>(s)]) {
+        DCV_RETURN_IF_ERROR(run_leg(s));
       }
     }
-    DCV_RETURN_IF_ERROR(collect(RootMsg::Kind::kPollPartial, t));
-    for (int s = 0; s < k; ++s) {
-      for (const auto& [site, value] : partials[static_cast<size_t>(s)]) {
-        poll_values[static_cast<size_t>(site)] = value;
-      }
-    }
-    return OkStatus();
+    return collect(kind, pending_cmds[0].epoch);
   };
+  auto poll_shards = [&](int64_t t) -> Status {
+    DCV_OBS_COUNT(polls_, 1);
+    for (ShardCmd& cmd : pending_cmds) {
+      cmd.kind = ShardCmd::Kind::kPoll;
+      cmd.epoch = t;
+      cmd.down_sites.clear();
+      cmd.resync.clear();
+    }
+    return run_round(ShardCmd::Kind::kPoll);
+  };
+
+  // Only sites with a crash window can ever be down; checking just those
+  // keeps a fault-free epoch free of per-site work here.
+  std::vector<int> crash_sites;
+  for (const CrashWindow& crash : config_.faults.crashes) {
+    crash_sites.push_back(crash.site);
+  }
+  std::sort(crash_sites.begin(), crash_sites.end());
+  crash_sites.erase(std::unique(crash_sites.begin(), crash_sites.end()),
+                    crash_sites.end());
 
   for (int64_t t = 0; t < num_epochs; ++t) {
     obs::ScopedTimer epoch_timer(epoch_us_);
     if (config_.chaos.kind == ChaosKind::kKillWorker &&
         t == chaos.fire_epoch) {
+      // Sever one worker link mid-run. On the socket transport the worker
+      // redials and the seq replay heals the stream, so the run (and the
+      // Channel's RNG stream) is unaffected; transports without severable
+      // links report Unimplemented, which is fine to ignore.
       Status severed = transport->InjectPeerFailure(chaos.target);
-      (void)severed;  // Unimplemented on link-free transports; fine.
+      (void)severed;
     }
     if (config_.chaos.kind == ChaosKind::kReshard && t == chaos.fire_epoch) {
       // Reshard at the epoch boundary: no data-plane message is in flight
@@ -654,27 +475,34 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
         config_.recorder->Record(ev);
       }
       for (int s = 0; s < k; ++s) {
-        if (dead[static_cast<size_t>(s)]) {
+        if (inline_leg[static_cast<size_t>(s)]) {
           continue;  // Inline legs read the root's `layout` directly.
         }
         ShardCmd cmd;
         cmd.kind = ShardCmd::Kind::kLayout;
         cmd.layout = layout;
-        cmd.plan = SliceForShard(plan, layout, s);
         if (!cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd))) {
           return abort_run(InternalError("shard command box closed"));
         }
       }
     }
-    // The root replays the flat coordinator's channel-call sequence
-    // verbatim: BeginEpoch, re-sync sends, (barrier), stale arrivals,
-    // alarm replays in ascending site order, then the poll. Shards only
-    // move ground truth, so the RNG stream never diverges.
+    // Same channel call order as the lockstep runner + scheme, so the
+    // channel's RNG stream (and thus every fault fate) is bit-identical:
+    // BeginEpoch, re-sync sends, (barrier), stale arrivals, alarm replays in
+    // ascending site order, then the poll. Shards only move ground truth.
     channel_.BeginEpoch(t);
 
-    for (auto& r : resync) {
-      r.clear();
+    for (ShardCmd& cmd : pending_cmds) {
+      cmd.kind = ShardCmd::Kind::kEpoch;
+      cmd.epoch = t;
+      cmd.down_sites.clear();
+      cmd.resync.clear();
     }
+    // Recovered sites missed threshold pushes while down: re-sync. The wire
+    // send goes through the channel (charged + can itself be lost); the
+    // owning shard's leg pushes the ground truth ahead of this epoch's
+    // range start only when the wire said the update got through — exactly
+    // the lockstep scheme, which re-syncs at the top of OnEpoch.
     if (config_.protocol == RuntimeProtocol::kLocalThreshold &&
         !channel_.newly_recovered().empty()) {
       const std::vector<int> recovered = channel_.newly_recovered();
@@ -682,57 +510,35 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
         SendStatus s = channel_.SendToSite(i, MessageType::kThresholdUpdate,
                                            /*reliable=*/true);
         if (s == SendStatus::kDelivered || s == SendStatus::kDelayed) {
-          // The owning shard pushes the transport message (before its
-          // kEpochStart, preserving the per-site FIFO); the wire charge
-          // already happened here.
-          resync[static_cast<size_t>(layout.ShardOf(i))].push_back(i);
+          pending_cmds[static_cast<size_t>(layout.ShardOf(i))]
+              .resync.emplace_back(i,
+                                   config_.thresholds[static_cast<size_t>(i)]);
           DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kThresholdUpdate,
                         t, i, config_.thresholds[static_cast<size_t>(i)]);
         }
       }
       channel_.CountResync(static_cast<int64_t>(recovered.size()));
     }
-
-    for (int s = 0; s < k; ++s) {
-      ShardCmd cmd;
-      cmd.kind = ShardCmd::Kind::kEpoch;
-      cmd.epoch = t;
-      const int start = layout.ShardStart(s);
-      const int size = layout.ShardSize(s);
-      cmd.up.resize(static_cast<size_t>(size));
-      for (int i = 0; i < size; ++i) {
-        cmd.up[static_cast<size_t>(i)] = channel_.SiteUp(start + i) ? 1 : 0;
-      }
-      cmd.resync_sites = std::move(resync[static_cast<size_t>(s)]);
-      // Keep a copy: if the shard dies holding this command, the root
-      // re-executes it from here.
-      pending_cmds[static_cast<size_t>(s)] = cmd;
-      if (dead[static_cast<size_t>(s)]) {
-        continue;  // Run inline below, once the live shards are going.
-      }
-      if (!cmd_boxes[static_cast<size_t>(s)]->Push(std::move(cmd))) {
-        return abort_run(InternalError("shard command box closed"));
+    for (int i : crash_sites) {
+      if (!channel_.SiteUp(i)) {
+        pending_cmds[static_cast<size_t>(layout.ShardOf(i))]
+            .down_sites.push_back(i);
       }
     }
-    for (int s = 0; s < k; ++s) {
-      if (dead[static_cast<size_t>(s)]) {
-        if (Status st = ShardEpochLeg(transport, layout, s,
-                                      SliceForShard(plan, layout, s),
-                                      pending_cmds[static_cast<size_t>(s)],
-                                      &inline_buffers,
-                                      &partials[static_cast<size_t>(s)]);
-            !st.ok()) {
-          return abort_run(st);
-        }
-      }
-    }
-    if (Status st = collect(RootMsg::Kind::kEpochPartial, t); !st.ok()) {
+    // Epoch barrier: every site observes its value; only alarmed sites
+    // report. These are synchronization messages (they model the passage
+    // of simulated time), not protocol traffic — the protocol's alarms are
+    // replayed through the channel below, in ascending site order after
+    // every range is done, so arrival order never reaches the channel.
+    if (Status st = run_round(ShardCmd::Kind::kEpoch); !st.ok()) {
       return abort_run(st);
     }
 
     EpochDetection det;
     det.epoch = t;
     if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
+      // Delayed alarms arriving now still trigger a poll; late reports of
+      // other kinds are consumed and ignored (mirrors the lockstep scheme).
       std::vector<Channel::Arrival> stale_alarms =
           channel_.TakeArrivals(MessageType::kAlarm);
       channel_.TakeArrivals(MessageType::kFilterReport);
@@ -740,7 +546,7 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
       int delivered_alarms = 0;
       // Shards are contiguous and entries ascend within a shard, so this
       // double loop visits alarmed sites in ascending global order — the
-      // flat coordinator's (and the lockstep scheme's) replay order.
+      // lockstep scheme's replay order.
       for (int s = 0; s < k; ++s) {
         for (const auto& [site, value] : partials[static_cast<size_t>(s)]) {
           ++det.num_alarms;
@@ -776,8 +582,8 @@ Status CoordinatorActor::RunVirtualSharded(Transport* transport,
   }
 
   for (int s = 0; s < k; ++s) {
-    if (dead[static_cast<size_t>(s)]) {
-      // Re-adopted sites get their shutdown from the root directly.
+    if (inline_leg[static_cast<size_t>(s)]) {
+      // Inline ranges get their shutdown from the root directly.
       ShardShutdownLeg(transport, layout, s);
       continue;
     }

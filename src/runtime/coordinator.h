@@ -42,7 +42,7 @@ class CoordinatorActor {
     int64_t global_threshold = 0;
     /// Two-level coordinator tree: partition the sites across this many
     /// shard coordinator threads feeding a root aggregator. 1 (the
-    /// default) keeps the flat single-thread coordinator. Must satisfy
+    /// default) runs everything on the coordinator thread. Must satisfy
     /// 1 <= num_shards <= num_sites, and the transport must be built with
     /// the same shard count.
     int num_shards = 1;
@@ -76,8 +76,14 @@ class CoordinatorActor {
   Status Init();
 
   /// Virtual-time mode: drives `num_epochs` epochs in lockstep with the
-  /// site actors (epoch barrier via kEpochStart / kEpochReport), then shuts
-  /// the sites down. Fills `out`'s detections, messages, and reliability.
+  /// sites, then shuts them down. Every epoch runs the worker-addressed
+  /// barrier (shard.h legs: one range start per (shard, worker) pair, one
+  /// report per alarmed site, one done marker per range) and, when an
+  /// alarm got through, one range poll round. A 1-shard run executes its
+  /// single leg inline on this thread; num_shards >= 2 runs one shard
+  /// coordinator thread per range. Either way every Channel call stays on
+  /// this thread in ascending site order. Fills `out`'s detections,
+  /// messages, and reliability.
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 
@@ -92,21 +98,8 @@ class CoordinatorActor {
   const Channel& channel() const { return channel_; }
 
  private:
-  /// One epoch-batched poll round over the transport: all kPollRequests go
-  /// out, then all kPollResponses are collected (sites respond with ground
-  /// truth; Channel::PollSites afterwards decides what actually got
-  /// through and charges the wire).
-  Status PollRound(Transport* transport, int64_t epoch,
-                   std::vector<int64_t>* values);
-
-  /// Two-level paths (num_shards >= 2): the root thread drives k shard
-  /// coordinator threads (shard.h) and aggregates their partials. In
-  /// virtual mode the root still owns the only Channel and issues every
-  /// channel call in flat-coordinator order, so results stay bit-identical
-  /// to the lockstep simulator; in free-running mode each shard owns a
+  /// Two-level free-running path (num_shards >= 2): each shard owns a
   /// channel over its slice and the root merges stats at shutdown.
-  Status RunVirtualSharded(Transport* transport, int64_t num_epochs,
-                           RuntimeResult* out);
   Status RunFreeSharded(Transport* transport, RuntimeResult* out);
 
   Config config_;
@@ -114,6 +107,8 @@ class CoordinatorActor {
   Channel channel_;
   obs::Counter* alarms_rx_ = nullptr;  ///< "runtime/coordinator/alarms".
   obs::Counter* polls_ = nullptr;      ///< "runtime/coordinator/polls".
+  /// Envelopes the virtual-time epoch legs moved (shard.h).
+  obs::Counter* barrier_envelopes_ = nullptr;
   /// Per-epoch (virtual) / per-poll-round (free) root latency, recorded
   /// for every shard count so bench_runtime can compare 1 vs k.
   obs::Histogram* epoch_us_ = nullptr;       ///< "runtime/coordinator/epoch_us".
@@ -123,10 +118,6 @@ class CoordinatorActor {
   /// lockstep ground truth detects in the trigger epoch itself, so this is
   /// the runtime's detection latency relative to the simulator.
   obs::Histogram* detection_lag_ = nullptr;  ///< "runtime/detection_lag_epochs".
-  /// PollRound's fan-out and fan-in batches, reused across rounds: the
-  /// transport hands both back with recycled buffers.
-  std::vector<Envelope> poll_requests_;
-  std::vector<Envelope> poll_responses_;
 };
 
 }  // namespace dcv

@@ -9,18 +9,16 @@
 #include <utility>
 
 #include "runtime/plan.h"
-#include "runtime/site_actor.h"
 #include "runtime/site_engine.h"
 #include "runtime/transport.h"
 
 namespace dcv {
 namespace {
 
-/// Hard ceiling on in-process worker threads. The actor engine's
-/// historical thread-per-site default is fine at conformance scale but a
-/// 100k-site run would ask the OS for 100k threads and die inside the
-/// std::thread constructor; large fabrics belong to the multiplexed
-/// engine, which never needs more threads than cores.
+/// Hard ceiling on in-process worker threads. An explicit thread count of
+/// one per site at 100k sites would ask the OS for 100k threads and die
+/// inside the std::thread constructor; the auto default never needs more
+/// threads than cores.
 constexpr int kMaxWorkerThreads = 10'000;
 
 struct LaunchPlan {
@@ -108,7 +106,7 @@ CoordinatorActor::Config MakeCoordinatorConfig(int n, LaunchPlan plan,
 }
 
 /// Socket-transport launch: this process runs only the coordinator; the
-/// site actors live in site-worker processes (site_worker.h) that connect
+/// sites live in site-worker processes (site_worker.h) that connect
 /// over TCP. The protocol state machines are untouched — the coordinator
 /// sees the same Transport interface — so virtual-time runs stay
 /// bit-identical to the in-process and lockstep paths.
@@ -154,7 +152,7 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
   DCV_RETURN_IF_ERROR(coordinator.Init());
 
   // Initial threshold sync: in-process runs bake the thresholds into the
-  // SiteActor configs; remote workers get them as the connection's first
+  // engine configs; remote workers get them as the connection's first
   // envelopes instead. Control plane (uncharged — provisioning, not
   // protocol traffic), and per-connection FIFO means every site installs
   // its threshold before it evaluates anything.
@@ -230,26 +228,21 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
   return result;
 }
 
-/// Builds actors and threads, runs the coordinator on the calling thread,
-/// joins, and fills the throughput/capture fields. `eval` is null for
-/// synthetic runs.
+/// Builds the engines and worker threads, runs the coordinator on the
+/// calling thread, joins, and fills the throughput/capture fields. `eval`
+/// is null for synthetic runs.
 Result<RuntimeResult> Launch(int n, const Trace* eval,
                              int64_t updates_per_site, LaunchPlan plan,
                              const RuntimeOptions& options) {
   if (options.transport == TransportKind::kSocket) {
     return LaunchSocket(n, updates_per_site, plan, options);
   }
-  const bool multiplexed = options.engine == SiteEngineKind::kMultiplexed;
   int workers = options.num_workers;
   if (workers == 0) {
-    // Actor engine: thread-per-site, the historical default. Multiplexed
-    // engine: one shard loop per core — a million sites must not mean a
-    // million threads.
-    workers = multiplexed
-                  ? std::min(n, std::max(1, static_cast<int>(
-                                                std::thread::
-                                                    hardware_concurrency())))
-                  : n;
+    // One engine loop per core: a million sites must not mean a million
+    // threads.
+    workers = std::min(
+        n, std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
   }
   if (workers < 1 || workers > n) {
     return InvalidArgumentError("num_workers must be in [1, num_sites]");
@@ -260,7 +253,7 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
     return InvalidArgumentError(
         "run would spawn " + std::to_string(workers) +
         " worker threads (max " + std::to_string(kMaxWorkerThreads) +
-        "); pass an explicit thread count or use the multiplexed engine");
+        "); pass a smaller thread count");
   }
   DCV_RETURN_IF_ERROR(MakeShardLayout(n, options.num_shards).status());
   DCV_ASSIGN_OR_RETURN(std::unique_ptr<ThreadTransport> transport,
@@ -276,72 +269,45 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   // contact. The provisioned thresholds still ship so WhatIf-style reuse of
   // the plan is possible, but the site constraint is disabled.
   const bool local = options.protocol == RuntimeProtocol::kLocalThreshold;
-  std::vector<std::unique_ptr<SiteActor>> sites;
-  std::vector<std::vector<SiteActor*>> owned;
+  // One SoA engine per worker; per-site config lands in slot order (slot s
+  // of worker w is site s * workers + w).
   std::vector<SiteEngine::Config> engine_configs;
-  if (multiplexed) {
-    // One SoA engine per worker; per-site config lands in slot order
-    // (slot s of worker w is site s * workers + w).
-    engine_configs.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      SiteEngine::Config ecfg;
-      ecfg.worker = w;
-      ecfg.num_workers = workers;
-      ecfg.num_sites = n;
-      const size_t slots = static_cast<size_t>((n - w + workers - 1) / workers);
-      ecfg.thresholds.reserve(slots);
+  engine_configs.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    SiteEngine::Config ecfg;
+    ecfg.worker = w;
+    ecfg.num_workers = workers;
+    ecfg.num_sites = n;
+    const size_t slots = static_cast<size_t>((n - w + workers - 1) / workers);
+    ecfg.thresholds.reserve(slots);
+    if (eval != nullptr) {
+      ecfg.series.reserve(slots);
+    }
+    for (int site = w; site < n; site += workers) {
+      ecfg.thresholds.push_back(local
+                                    ? plan.thresholds[static_cast<size_t>(site)]
+                                    : std::numeric_limits<int64_t>::max());
       if (eval != nullptr) {
-        ecfg.series.reserve(slots);
+        ecfg.series.push_back(eval->SiteSeries(site));
       }
-      for (int site = w; site < n; site += workers) {
-        ecfg.thresholds.push_back(
-            local ? plan.thresholds[static_cast<size_t>(site)]
-                  : std::numeric_limits<int64_t>::max());
-        if (eval != nullptr) {
-          ecfg.series.push_back(eval->SiteSeries(site));
-        }
-      }
-      ecfg.synthetic_updates = eval == nullptr ? updates_per_site : 0;
-      ecfg.seed = options.seed;
-      ecfg.synthetic_max = options.synthetic_max;
-      ecfg.capture_updates = options.capture_updates;
-      ecfg.metrics = options.metrics;
-      ecfg.recorder = options.recorder;
-      engine_configs.push_back(std::move(ecfg));
     }
-  } else {
-    sites.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      SiteActor::Config cfg;
-      cfg.site = i;
-      cfg.threshold = local ? plan.thresholds[static_cast<size_t>(i)]
-                            : std::numeric_limits<int64_t>::max();
-      if (eval != nullptr) {
-        cfg.series = eval->SiteSeries(i);
-      } else {
-        cfg.synthetic_updates = updates_per_site;
-      }
-      cfg.seed = options.seed;
-      cfg.synthetic_max = options.synthetic_max;
-      cfg.capture_updates = options.capture_updates;
-      cfg.metrics = options.metrics;
-      cfg.recorder = options.recorder;
-      sites.push_back(std::make_unique<SiteActor>(cfg));
-    }
-    owned.resize(static_cast<size_t>(workers));
-    for (int i = 0; i < n; ++i) {
-      owned[static_cast<size_t>(transport->WorkerOf(i))].push_back(
-          sites[static_cast<size_t>(i)].get());
-    }
+    ecfg.synthetic_updates = eval == nullptr ? updates_per_site : 0;
+    ecfg.seed = options.seed;
+    ecfg.synthetic_max = options.synthetic_max;
+    ecfg.capture_updates = options.capture_updates;
+    ecfg.metrics = options.metrics;
+    ecfg.recorder = options.recorder;
+    engine_configs.push_back(std::move(ecfg));
   }
 
-  // Multiplexed workers start now and build their own engines while this
-  // thread builds the coordinator: per-worker set-up runs in parallel, and
-  // each engine's slot state is first touched by the thread that sweeps
-  // it. They then wait for `start`, so the build stays in set-up, outside
+  // Workers start now and build their own engines while this thread builds
+  // the coordinator: per-worker set-up runs in parallel, and each engine's
+  // slot state is first touched by the thread that sweeps it. They then
+  // wait for `start`, so the build stays in set-up, outside
   // elapsed_seconds.
   Transport* t = transport.get();
   std::vector<std::unique_ptr<SiteEngine>> engines(engine_configs.size());
+  std::vector<Status> engine_status(engine_configs.size());
   std::latch built(static_cast<ptrdiff_t>(engine_configs.size()));
   std::latch start(1);
   bool run_engines = false;  ///< Published to the workers by `start`.
@@ -354,8 +320,12 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
       start.wait();
       if (!run_engines) {
         return;
-      } else if (options.virtual_time) {
-        engines[w]->RunVirtual(t);
+      }
+      if (options.virtual_time) {
+        engine_status[w] = engines[w]->RunVirtual(t);
+        if (!engine_status[w].ok()) {
+          t->Shutdown();  // Wake the coordinator instead of stalling it.
+        }
       } else {
         engines[w]->RunFree(t);
       }
@@ -366,7 +336,7 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
     start.count_down();
   };
 
-  // The site configs are built; the coordinator takes the plan itself.
+  // The engine configs are built; the coordinator takes the plan itself.
   CoordinatorActor coordinator(
       MakeCoordinatorConfig(n, std::move(plan), options));
   if (Status init = coordinator.Init(); !init.ok()) {
@@ -380,17 +350,6 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
 
   const auto t0 = std::chrono::steady_clock::now();
   release_engines(true);
-  if (!multiplexed) {
-    for (int w = 0; w < workers; ++w) {
-      const std::vector<SiteActor*>& mine = owned[static_cast<size_t>(w)];
-      if (options.virtual_time) {
-        threads.emplace_back(
-            [t, w, &mine] { RunSiteWorkerVirtual(t, w, mine); });
-      } else {
-        threads.emplace_back([t, w, &mine] { RunSiteWorkerFree(t, w, mine); });
-      }
-    }
-  }
 
   RuntimeResult result;
   Status run_status =
@@ -406,25 +365,21 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
   for (std::thread& th : threads) {
     th.join();
   }
+  for (const Status& st : engine_status) {
+    DCV_RETURN_IF_ERROR(st);  // The cause of a coordinator-side failure.
+  }
   DCV_RETURN_IF_ERROR(run_status);
   const auto t1 = std::chrono::steady_clock::now();
 
   result.site_updates.clear();
   result.site_updates.reserve(static_cast<size_t>(n));
   result.total_updates = 0;
-  if (multiplexed) {
-    for (int i = 0; i < n; ++i) {
-      const SiteEngine& engine = *engines[static_cast<size_t>(i % workers)];
-      const int64_t processed =
-          engine.updates_processed()[static_cast<size_t>(i / workers)];
-      result.site_updates.push_back(processed);
-      result.total_updates += processed;
-    }
-  } else {
-    for (const auto& s : sites) {
-      result.site_updates.push_back(s->updates_processed());
-      result.total_updates += s->updates_processed();
-    }
+  for (int i = 0; i < n; ++i) {
+    const SiteEngine& engine = *engines[static_cast<size_t>(i % workers)];
+    const int64_t processed =
+        engine.updates_processed()[static_cast<size_t>(i / workers)];
+    result.site_updates.push_back(processed);
+    result.total_updates += processed;
   }
   result.elapsed_seconds =
       std::chrono::duration<double>(t1 - t0).count();
@@ -433,16 +388,10 @@ Result<RuntimeResult> Launch(int n, const Trace* eval,
           ? static_cast<double>(result.total_updates) / result.elapsed_seconds
           : 0.0;
   if (options.capture_updates) {
-    if (multiplexed) {
-      for (int i = 0; i < n; ++i) {
-        const SiteEngine& engine = *engines[static_cast<size_t>(i % workers)];
-        result.captured_updates.push_back(
-            engine.captured_updates()[static_cast<size_t>(i / workers)]);
-      }
-    } else {
-      for (const auto& s : sites) {
-        result.captured_updates.push_back(s->captured_updates());
-      }
+    for (int i = 0; i < n; ++i) {
+      const SiteEngine& engine = *engines[static_cast<size_t>(i % workers)];
+      result.captured_updates.push_back(
+          engine.captured_updates()[static_cast<size_t>(i / workers)]);
     }
   }
   if (options.metrics != nullptr) {

@@ -35,25 +35,15 @@ struct RuntimeOptions {
   int64_t poll_period = 5;  ///< kPolling only.
 
   /// Site-to-worker multiplexing: k in [1, num_sites] packs the sites onto
-  /// k threads (site s -> s % k). 0 = auto: one worker thread per site
-  /// with the actor-per-site engine (the historical default), or
-  /// min(num_sites, hardware_concurrency) with the multiplexed engine
-  /// (a million sites must not mean a million threads).
+  /// k worker threads (site s -> s % k), each driving one SiteEngine.
+  /// 0 = auto: min(num_sites, hardware_concurrency).
   int num_workers = 0;
-
-  /// Site-side execution engine. kMultiplexed (default) drives every
-  /// worker's sites over flat structure-of-arrays state with batched
-  /// transport drains; kActorPerSite is the original one-object-per-site
-  /// runtime, kept as the conformance baseline. Virtual-time detections
-  /// are bit-identical between the two (the conformance harness asserts
-  /// it).
-  SiteEngineKind engine = SiteEngineKind::kMultiplexed;
 
   /// Coordinator-side sharding: partition the sites across this many shard
   /// coordinator threads feeding a root aggregator (two-level tree). Must
-  /// be in [1, num_sites]; 1 = the flat single-thread coordinator.
+  /// be in [1, num_sites]; 1 = everything on the coordinator thread.
   /// Virtual-time results are bit-identical for every legal value (the
-  /// conformance harness asserts shards in {1, 2, 4}).
+  /// conformance harness asserts shards in {1, 2, 3, 4}).
   int num_shards = 1;
 
   /// Virtual-time mode runs the sites in epoch lockstep with the

@@ -19,6 +19,24 @@ void ReportError(const ShardContext& ctx, Status status) {
   ctx.to_root->Push(std::move(err));
 }
 
+/// Appends one range command `msg` per worker that owns a site in
+/// [start, end): `to` is the worker's lowest such site, `value` the end.
+/// Returns the number of commands (min(W, end - start)).
+int AppendRangeCommands(int start, int end, int num_workers, ActorMessage msg,
+                        std::vector<Envelope>* out) {
+  msg.value = end;
+  int ranges = 0;
+  for (int w = 0; w < num_workers; ++w) {
+    const int first = start + ((w - start % num_workers) + num_workers) %
+                                  num_workers;
+    if (first < end) {
+      out->push_back(Envelope{kCoordinatorId, first, msg});
+      ++ranges;
+    }
+  }
+  return ranges;
+}
+
 }  // namespace
 
 FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
@@ -53,83 +71,83 @@ FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
 }
 
 Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
-                     int shard, const LocalPlan& plan, const ShardCmd& cmd,
-                     ShardLegBuffers* buffers,
+                     int shard, const ShardCmd& cmd, ShardLegBuffers* buffers,
                      std::vector<std::pair<int, int64_t>>* alarmed) {
   const int start = layout.ShardStart(shard);
-  const int size = layout.ShardSize(shard);
-  // Threshold re-syncs go out before this epoch's kEpochStart; the mailbox
-  // is per-producer FIFO and one thread at a time produces for these sites
-  // (the shard, or the root after re-adoption), so the site installs the
-  // threshold before it evaluates — same ordering the flat coordinator
-  // guarantees.
-  // One batched fan-out per epoch leg: re-syncs first, then every start.
-  // SendBatch preserves batch order per destination inbox, so a site's
-  // re-sync still lands before its kEpochStart.
+  const int end = start + layout.ShardSize(shard);
+  // One batched fan-out per epoch leg: per-site re-syncs and down markers
+  // first, then the range starts. The mailbox is per-producer FIFO and one
+  // thread at a time produces for these sites (the shard, or the root), so
+  // a site installs its threshold and its down flag before it evaluates —
+  // the order the lockstep scheme applies them in.
   std::vector<Envelope>& fanout = buffers->fanout;  // Empty: SendBatch took it.
-  fanout.reserve(cmd.resync_sites.size() + static_cast<size_t>(size));
-  for (int site : cmd.resync_sites) {
-    ActorMessage update;
-    update.kind = ActorMsgKind::kThresholdUpdate;
-    update.epoch = cmd.epoch;
-    update.value = plan.thresholds[static_cast<size_t>(site - start)];
+  ActorMessage update;
+  update.kind = ActorMsgKind::kThresholdUpdate;
+  update.epoch = cmd.epoch;
+  for (const auto& [site, threshold] : cmd.resync) {
+    update.value = threshold;
     fanout.push_back(Envelope{kCoordinatorId, site, update});
   }
-  for (int i = 0; i < size; ++i) {
-    ActorMessage begin;
-    begin.kind = ActorMsgKind::kEpochStart;
-    begin.epoch = cmd.epoch;
-    begin.flag = cmd.up[static_cast<size_t>(i)] != 0;
-    fanout.push_back(Envelope{kCoordinatorId, start + i, begin});
+  ActorMessage down;
+  down.kind = ActorMsgKind::kSiteDown;
+  down.epoch = cmd.epoch;
+  for (int site : cmd.down_sites) {
+    fanout.push_back(Envelope{kCoordinatorId, site, down});
   }
+  ActorMessage begin;
+  begin.kind = ActorMsgKind::kEpochStart;
+  begin.epoch = cmd.epoch;
+  int dones_pending = AppendRangeCommands(start, end, transport->num_workers(),
+                                          begin, &fanout);
+  int64_t moved = static_cast<int64_t>(fanout.size());
   if (!transport->SendBatch(&fanout)) {
     return InternalError("transport closed during epoch start");
   }
-  std::vector<char> site_alarmed(static_cast<size_t>(size), 0);
-  std::vector<int64_t> values(static_cast<size_t>(size), 0);
+  // Each worker sends its range's alarm reports, then its done marker, in
+  // one FIFO stream; collecting until every done is in sees every report.
+  alarmed->clear();
   std::vector<Envelope>& batch = buffers->inbox;
-  int pending = size;
-  while (pending > 0) {
+  while (dones_pending > 0) {
     batch.clear();
     if (transport->RecvShardAll(shard, &batch) == 0) {
       return InternalError("transport closed while collecting reports");
     }
+    moved += static_cast<int64_t>(batch.size());
     for (const Envelope& e : batch) {
-      if (e.msg.kind != ActorMsgKind::kEpochReport ||
-          e.msg.epoch != cmd.epoch) {
+      if (e.msg.epoch != cmd.epoch || e.from < start || e.from >= end) {
         return InternalError("out-of-order message at epoch barrier");
       }
-      site_alarmed[static_cast<size_t>(e.from - start)] = e.msg.flag ? 1 : 0;
-      values[static_cast<size_t>(e.from - start)] = e.msg.value;
-      --pending;
+      if (e.msg.kind == ActorMsgKind::kEpochReport) {
+        alarmed->emplace_back(e.from, e.msg.value);
+      } else if (e.msg.kind == ActorMsgKind::kEpochDone && e.msg.value == end) {
+        --dones_pending;
+      } else {
+        return InternalError(std::string("unexpected ") +
+                             std::string(ActorMsgKindName(e.msg.kind)) +
+                             " at epoch barrier");
+      }
     }
   }
-  alarmed->clear();
-  for (int i = 0; i < size; ++i) {
-    if (site_alarmed[static_cast<size_t>(i)]) {
-      alarmed->emplace_back(start + i, values[static_cast<size_t>(i)]);
-    }
-  }
+  DCV_OBS_COUNT(buffers->barrier_envelopes, moved);
+  // Reports of different workers interleave; the root replays ascending.
+  std::sort(alarmed->begin(), alarmed->end());
   return OkStatus();
 }
 
 Status ShardPollLeg(Transport* transport, const ShardLayout& layout,
                     int shard, int64_t epoch, ShardLegBuffers* buffers,
-                    std::vector<std::pair<int, int64_t>>* values) {
+                    int64_t* values) {
   const int start = layout.ShardStart(shard);
   const int size = layout.ShardSize(shard);
   ActorMessage request;
-  request.kind = ActorMsgKind::kPollRequest;
+  request.kind = ActorMsgKind::kPollRange;
   request.epoch = epoch;
   std::vector<Envelope>& fanout = buffers->fanout;  // Empty: SendBatch took it.
-  fanout.reserve(static_cast<size_t>(size));
-  for (int i = 0; i < size; ++i) {
-    fanout.push_back(Envelope{kCoordinatorId, start + i, request});
-  }
+  AppendRangeCommands(start, start + size, transport->num_workers(), request,
+                      &fanout);
   if (!transport->SendBatch(&fanout)) {
     return InternalError("transport closed during poll round");
   }
-  std::vector<int64_t> responses(static_cast<size_t>(size), 0);
   std::vector<Envelope>& batch = buffers->inbox;
   int pending = size;
   while (pending > 0) {
@@ -138,19 +156,15 @@ Status ShardPollLeg(Transport* transport, const ShardLayout& layout,
       return InternalError("transport closed while collecting poll responses");
     }
     for (const Envelope& e : batch) {
-      if (e.msg.kind != ActorMsgKind::kPollResponse) {
+      if (e.msg.kind != ActorMsgKind::kPollResponse || e.from < start ||
+          e.from >= start + size) {
         return InternalError(std::string("unexpected ") +
                              std::string(ActorMsgKindName(e.msg.kind)) +
                              " during poll round");
       }
-      responses[static_cast<size_t>(e.from - start)] = e.msg.value;
+      values[e.from - start] = e.msg.value;
       --pending;
     }
-  }
-  values->clear();
-  values->reserve(static_cast<size_t>(size));
-  for (int i = 0; i < size; ++i) {
-    values->emplace_back(start + i, responses[static_cast<size_t>(i)]);
   }
   return OkStatus();
 }
@@ -172,9 +186,9 @@ void ShardShutdownLeg(Transport* transport, const ShardLayout& layout,
 void RunShardVirtual(ShardContext ctx) {
   // Mutable: a kLayout command re-ranges the shard mid-run.
   ShardLayout layout = ctx.layout;
-  LocalPlan plan = std::move(ctx.plan);
   std::vector<std::pair<int, int64_t>> entries;
   ShardLegBuffers buffers;
+  buffers.barrier_envelopes = ctx.barrier_envelopes;
 
   ShardCmd cmd;
   while (ctx.cmds->Pop(&cmd)) {
@@ -185,7 +199,6 @@ void RunShardVirtual(ShardContext ctx) {
       }
       case ShardCmd::Kind::kLayout: {
         layout = cmd.layout;
-        plan = std::move(cmd.plan);
         break;
       }
       case ShardCmd::Kind::kEpoch: {
@@ -197,8 +210,8 @@ void RunShardVirtual(ShardContext ctx) {
           // producer and one barrier, exactly as if the shard had lived.
           return;
         }
-        if (Status st = ShardEpochLeg(ctx.transport, layout, ctx.shard, plan,
-                                      cmd, &buffers, &entries);
+        if (Status st = ShardEpochLeg(ctx.transport, layout, ctx.shard, cmd,
+                                      &buffers, &entries);
             !st.ok()) {
           ReportError(ctx, std::move(st));
           return;
@@ -214,17 +227,18 @@ void RunShardVirtual(ShardContext ctx) {
         break;
       }
       case ShardCmd::Kind::kPoll: {
+        RootMsg partial;
+        partial.values.resize(static_cast<size_t>(layout.ShardSize(ctx.shard)));
         if (Status st = ShardPollLeg(ctx.transport, layout, ctx.shard,
-                                     cmd.epoch, &buffers, &entries);
+                                     cmd.epoch, &buffers,
+                                     partial.values.data());
             !st.ok()) {
           ReportError(ctx, std::move(st));
           return;
         }
-        RootMsg partial;
         partial.kind = RootMsg::Kind::kPollPartial;
         partial.shard = ctx.shard;
         partial.epoch = cmd.epoch;
-        partial.entries = std::move(entries);
         if (!ctx.to_root->Push(std::move(partial))) {
           return;
         }

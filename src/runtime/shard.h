@@ -27,10 +27,15 @@ namespace dcv {
 /// Determinism contract (virtual-time mode): shards never touch a Channel.
 /// They relay ground truth between the transport and the root; every
 /// channel call — the single source of message fates, RNG draws, and
-/// MessageCounter charges — stays on the root thread, issued in the exact
-/// site order the flat coordinator used. That is why sharded virtual runs
-/// are bit-identical to the lockstep simulator (the conformance harness
-/// asserts it for 1, 2, and 4 shards).
+/// MessageCounter charges — stays on the root thread, issued in ascending
+/// site order. That is why virtual runs are bit-identical to the lockstep
+/// simulator for any shard count; a 1-shard run is the same code with the
+/// one leg executed inline on the root thread.
+///
+/// The virtual-time legs address workers, not sites: one range command per
+/// (shard, worker) pair with sites in the shard's range, so an epoch moves
+/// O(k·W) control envelopes plus one report per alarmed site instead of
+/// O(N) per phase (actor_message.h has the protocol).
 ///
 /// Free-running mode inverts the split: each shard owns a Channel over its
 /// own site range (fault spec sliced via SliceFaultSpec) and aggregates
@@ -53,27 +58,27 @@ struct ShardCmd {
   };
   Kind kind = Kind::kEpoch;
   int64_t epoch = 0;
-  /// kEpoch: up/down flag per shard-local site (the root owns the channel
-  /// and thus the crash schedule).
-  std::vector<char> up;
-  /// kEpoch: global site ids whose threshold re-sync got through the wire
-  /// this epoch (root already charged the sends); the shard pushes the
-  /// transport messages so the per-site update-before-epoch-start FIFO
-  /// holds with a single producer per site.
-  std::vector<int> resync_sites;
-  /// kLayout: the new versioned layout plus this shard's plan slice under
-  /// it. Sent only at an epoch boundary (no in-flight data-plane traffic),
-  /// after the transport itself adopted the layout, and the command box is
-  /// FIFO — so the shard switches ranges strictly between epochs.
+  /// kEpoch: global ids of the shard's sites that are down this epoch, in
+  /// ascending order (the root owns the channel and thus the crash
+  /// schedule). Empty on a fault-free run.
+  std::vector<int> down_sites;
+  /// kEpoch: (global site, threshold) for every threshold re-sync that got
+  /// through the wire this epoch (root already charged the sends); the
+  /// shard pushes the transport messages so the per-site
+  /// update-before-epoch-start FIFO holds with a single producer per site.
+  std::vector<std::pair<int, int64_t>> resync;
+  /// kLayout: the new versioned layout. Sent only at an epoch boundary (no
+  /// in-flight data-plane traffic), after the transport itself adopted the
+  /// layout, and the command box is FIFO — so the shard switches ranges
+  /// strictly between epochs.
   ShardLayout layout;
-  LocalPlan plan;
 };
 
 /// Shard -> root message (internal mailbox in both modes).
 struct RootMsg {
   enum class Kind {
     kEpochPartial,  ///< Virtual: epoch barrier done; entries = alarmed sites.
-    kPollPartial,   ///< Poll leg done. Virtual: entries = every site's value.
+    kPollPartial,   ///< Poll leg done. Virtual: values = every site's value.
                     ///< Free: aggregated sum/min/max, no per-site entries.
     kAlarmNotice,   ///< Free: a delivered alarm needs a poll round.
     kSiteDone,      ///< Free: one owned site reported kSiteDone. Relayed
@@ -89,9 +94,12 @@ struct RootMsg {
   int shard = 0;
   int64_t epoch = 0;
   /// (global site, value) pairs in ascending site order. kEpochPartial:
-  /// alarmed sites and their observed values. kPollPartial (virtual): every
-  /// owned site's response. kSiteDone: the one site's update count.
+  /// alarmed sites and their observed values. kSiteDone: the one site's
+  /// update count.
   std::vector<std::pair<int, int64_t>> entries;
+  /// kPollPartial, virtual-time mode: every owned site's response in site
+  /// order, starting at the shard's first site.
+  std::vector<int64_t> values;
   // kPollPartial, free-running mode: the shard-aggregated poll leg.
   int64_t partial_sum = 0;  ///< Weighted sum over the shard's sites.
   int64_t partial_min = 0;  ///< Min/max of the resolved per-site values —
@@ -113,8 +121,8 @@ struct ShardContext {
   Transport* transport = nullptr;
   Mailbox<ShardCmd>* cmds = nullptr;  ///< Virtual mode only.
   Mailbox<RootMsg>* to_root = nullptr;
-  /// Shard-local plan slice (SliceForShard): thresholds for re-sync
-  /// pushes, domain_max as the pessimistic poll fallback.
+  /// Free mode: shard-local plan slice (SliceForShard); domain_max is the
+  /// pessimistic poll fallback.
   LocalPlan plan;
   RuntimeProtocol protocol = RuntimeProtocol::kLocalThreshold;
   // Free-running mode only.
@@ -123,6 +131,8 @@ struct ShardContext {
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* recorder = nullptr;
   obs::Counter* alarms_rx = nullptr;  ///< Shared "runtime/coordinator/alarms".
+  /// Virtual mode: shared "runtime/coordinator/barrier_envelopes".
+  obs::Counter* barrier_envelopes = nullptr;
   // Chaos injection (tests / --chaos runs): the shard kills itself at a
   // deterministic point, simulating a crashed coordinator thread.
   /// Virtual mode: die the instant the kEpoch command for this epoch
@@ -134,37 +144,42 @@ struct ShardContext {
   int64_t die_after_batches = -1;
 };
 
-/// Envelope batches the virtual-mode legs reuse from call to call: the
-/// transport hands `fanout` back empty with a buffer to refill and drains
-/// reply bursts into `inbox`, so a steady run allocates nothing per leg.
-/// One instance per thread that runs legs.
+/// Per-thread state of the virtual-mode legs: envelope batches reused from
+/// call to call (the transport hands `fanout` back empty with a buffer to
+/// refill and drains reply bursts into `inbox`, so a steady run allocates
+/// nothing per leg) and the barrier counter every epoch leg charges.
 struct ShardLegBuffers {
   std::vector<Envelope> fanout;
   std::vector<Envelope> inbox;
+  /// "runtime/coordinator/barrier_envelopes": each epoch leg adds the
+  /// envelopes it moved — re-syncs, down markers and range starts out,
+  /// alarm reports and done markers back. Null = not counted.
+  obs::Counter* barrier_envelopes = nullptr;
 };
 
 /// Body of one shard coordinator thread, virtual-time mode: serve ShardCmds
 /// until kShutdown (or a closed box / transport error).
 void RunShardVirtual(ShardContext ctx);
 
-/// The three virtual-mode shard legs, exposed so the root can re-execute a
-/// dead shard's pending command itself (direct attachment after a shard
-/// crash). Both the shard thread and the root's recovery path run exactly
-/// this code, which is what makes recovery transparent: the sites cannot
-/// tell who is on the other end of the transport.
+/// The three virtual-mode shard legs. The shard thread runs them, and so
+/// does the root for a 1-shard run and for a dead shard's pending command
+/// (direct attachment after a shard crash). One code path is what makes
+/// both transparent: the sites cannot tell who is on the other end of the
+/// transport.
 ///
-/// ShardEpochLeg: threshold re-syncs, then the epoch barrier over the
-/// shard's sites; `alarmed` gets (global site, value) for every alarmed
-/// site in ascending order. ShardPollLeg: one poll fan-out; `values` gets
-/// every owned site's response in ascending order. ShardShutdownLeg:
+/// ShardEpochLeg: threshold re-syncs and down markers (per site), then one
+/// kEpochStart range per worker with sites in the shard; collects the
+/// alarm reports until every range's kEpochDone is in. `alarmed` gets
+/// (global site, value) for every alarmed site in ascending order.
+/// ShardPollLeg: one kPollRange per worker; writes every owned site's
+/// response to values[0 .. shard size) in site order. ShardShutdownLeg:
 /// forwards kShutdown to every owned site.
 Status ShardEpochLeg(Transport* transport, const ShardLayout& layout,
-                     int shard, const LocalPlan& plan, const ShardCmd& cmd,
-                     ShardLegBuffers* buffers,
+                     int shard, const ShardCmd& cmd, ShardLegBuffers* buffers,
                      std::vector<std::pair<int, int64_t>>* alarmed);
 Status ShardPollLeg(Transport* transport, const ShardLayout& layout,
                     int shard, int64_t epoch, ShardLegBuffers* buffers,
-                    std::vector<std::pair<int, int64_t>>* values);
+                    int64_t* values);
 void ShardShutdownLeg(Transport* transport, const ShardLayout& layout,
                       int shard);
 

@@ -1,10 +1,11 @@
 #include "runtime/site_engine.h"
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
-
-#include "runtime/site_actor.h"
 
 namespace dcv {
 namespace {
@@ -23,12 +24,22 @@ constexpr size_t kCompactThreshold = 4096;
 
 }  // namespace
 
+Rng MakeSiteRng(uint64_t seed, int site) {
+  // Mix the site id in with an odd multiplier (SplitMix64's increment) so
+  // site k's stream is unrelated to site k+1's even for adjacent seeds; the
+  // Rng constructor then SplitMix-expands the mixed seed into full state.
+  uint64_t mixed =
+      seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(site) + 1));
+  return Rng(mixed);
+}
+
 SiteEngine::SiteEngine(Config config) : config_(std::move(config)) {
   thresholds_ = std::move(config_.thresholds);
   const size_t slots = thresholds_.size();
   values_.assign(slots, 0);
   cursors_.assign(slots, 0);
   updates_.assign(slots, 0);
+  down_.assign(slots, 0);
   rngs_.reserve(slots);
   for (size_t slot = 0; slot < slots; ++slot) {
     rngs_.push_back(MakeSiteRng(config_.seed, SiteOf(slot)));
@@ -65,31 +76,52 @@ int64_t SiteEngine::ValueAt(size_t slot, int64_t index) {
     return config_.series[slot][static_cast<size_t>(index)];
   }
   // Synthetic stream: one draw per update, in stream order, from the
-  // (seed, site)-derived RNG owned by this slot — identical to the
-  // SiteActor stream no matter how slots interleave within a batch.
+  // (seed, site)-derived RNG owned by this slot — the same stream no
+  // matter how slots interleave within a batch.
   return rngs_[slot].UniformInt(0, config_.synthetic_max);
 }
 
-ActorMessage SiteEngine::OnEpochStart(size_t slot, int64_t epoch, bool up) {
-  const int64_t value = ValueAt(slot, epoch);
-  values_[slot] = value;
-  ++updates_[slot];
-  DCV_OBS_COUNT(updates_counter_, 1);
-  if (config_.capture_updates) {
-    captured_[slot].push_back(value);
-  }
+std::pair<size_t, size_t> SiteEngine::SlotRange(const Envelope& command) const {
+  // CheckRangeCommand passed: `to` is owned, so it maps to its slot
+  // exactly, and the owned sites below the end number
+  // (end - 1 - worker) / W + 1.
+  const int workers = config_.num_workers;
+  const size_t end = static_cast<size_t>(
+      (command.msg.value - 1 - config_.worker) / workers + 1);
+  return {static_cast<size_t>(command.to / workers),
+          std::min(end, num_slots())};
+}
+
+void SiteEngine::StepRange(const Envelope& command, std::vector<Envelope>* out) {
+  const int64_t epoch = command.msg.epoch;
+  const auto [begin, end] = SlotRange(command);
   ActorMessage report;
   report.kind = ActorMsgKind::kEpochReport;
   report.epoch = epoch;
-  const bool alarmed = up && value > thresholds_[slot];
-  report.flag = alarmed;
-  report.value = alarmed ? value : 0;
-  if (alarmed) {
-    DCV_OBS_COUNT(alarms_counter_, 1);
-    DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kLocalAlarm, epoch,
-                  SiteOf(slot), value);
+  report.flag = true;
+  for (size_t slot = begin; slot < end; ++slot) {
+    const int64_t value = ValueAt(slot, epoch);
+    values_[slot] = value;
+    ++updates_[slot];
+    if (config_.capture_updates) {
+      captured_[slot].push_back(value);
+    }
+    const bool up = down_[slot] == 0;
+    down_[slot] = 0;
+    if (up && value > thresholds_[slot]) {
+      DCV_OBS_COUNT(alarms_counter_, 1);
+      DCV_OBS_EVENT(config_.recorder, obs::TraceEventKind::kLocalAlarm, epoch,
+                    SiteOf(slot), value);
+      report.value = value;
+      out->push_back(Envelope{SiteOf(slot), kCoordinatorId, report});
+    }
   }
-  return report;
+  DCV_OBS_COUNT(updates_counter_, static_cast<int64_t>(end - begin));
+  ActorMessage done;
+  done.kind = ActorMsgKind::kEpochDone;
+  done.epoch = epoch;
+  done.value = command.msg.value;
+  out->push_back(Envelope{command.to, kCoordinatorId, done});
 }
 
 bool SiteEngine::NextUpdate(size_t slot, int64_t* value, bool* alarmed) {
@@ -122,7 +154,14 @@ ActorMessage SiteEngine::OnPollRequest(size_t slot, int64_t epoch) const {
   return response;
 }
 
-void SiteEngine::RunVirtual(Transport* transport) {
+Status SiteEngine::RunVirtual(Transport* transport) {
+  // Trace columns bound the epochs a kEpochStart may name.
+  int64_t epochs = std::numeric_limits<int64_t>::max();
+  for (size_t slot = 0; slot < num_slots(); ++slot) {
+    if (!Synthetic(slot)) {
+      epochs = std::min(epochs, workload_size(slot));
+    }
+  }
   size_t live = num_slots();
   std::vector<Envelope> inbox;
   std::vector<Envelope> outbox;
@@ -132,24 +171,36 @@ void SiteEngine::RunVirtual(Transport* transport) {
       break;  // Fabric closed.
     }
     for (const Envelope& e : inbox) {
+      if (IsRangeCommand(e.msg.kind)) {
+        DCV_RETURN_IF_ERROR(CheckRangeCommand(e, config_.num_sites,
+                                              config_.num_workers,
+                                              config_.worker));
+        if (e.msg.kind == ActorMsgKind::kPollRange) {
+          const auto [begin, end] = SlotRange(e);
+          for (size_t slot = begin; slot < end; ++slot) {
+            outbox.push_back(Envelope{SiteOf(slot), kCoordinatorId,
+                                      OnPollRequest(slot, e.msg.epoch)});
+          }
+        } else if (e.msg.epoch < 0 || e.msg.epoch >= epochs) {
+          return InvalidArgumentError(
+              "epoch_start for epoch " + std::to_string(e.msg.epoch) +
+              " outside the workload's " + std::to_string(epochs) +
+              " epochs");
+        } else {
+          StepRange(e, &outbox);
+        }
+        continue;
+      }
       const int slot = SlotOf(e.to);
       if (slot < 0) {
         continue;
       }
       switch (e.msg.kind) {
-        case ActorMsgKind::kEpochStart:
-          outbox.push_back(
-              Envelope{SiteOf(static_cast<size_t>(slot)), kCoordinatorId,
-                       OnEpochStart(static_cast<size_t>(slot), e.msg.epoch,
-                                    e.msg.flag)});
-          break;
-        case ActorMsgKind::kPollRequest:
-          outbox.push_back(
-              Envelope{SiteOf(static_cast<size_t>(slot)), kCoordinatorId,
-                       OnPollRequest(static_cast<size_t>(slot), e.msg.epoch)});
-          break;
         case ActorMsgKind::kThresholdUpdate:
           thresholds_[static_cast<size_t>(slot)] = e.msg.value;
+          break;
+        case ActorMsgKind::kSiteDown:
+          down_[static_cast<size_t>(slot)] = 1;
           break;
         case ActorMsgKind::kShutdown:
           --live;
@@ -160,12 +211,13 @@ void SiteEngine::RunVirtual(Transport* transport) {
     }
     // One batched reply per drained burst; SendBatch hands `outbox` back
     // empty. Blocking is safe here: shard inbox capacity covers every
-    // in-flight report + poll response of an epoch (2 per owned site +
-    // headroom), and the shard coordinator is always in its receive loop.
+    // in-flight report, done marker and poll response of an epoch, and the
+    // shard coordinator is always in its receive loop.
     if (!outbox.empty() && !transport->SendBatch(&outbox)) {
       break;
     }
   }
+  return OkStatus();
 }
 
 void SiteEngine::RunFree(Transport* transport) {

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/rng.h"
 #include "obs/obs.h"
 #include "runtime/actor_message.h"
@@ -12,46 +14,40 @@
 
 namespace dcv {
 
-/// Which site-side execution engine a runtime launch drives its sites with.
-enum class SiteEngineKind {
-  /// One SiteEngine per worker thread multiplexes every owned site over
-  /// flat structure-of-arrays state (the million-site data plane). The
-  /// default: bit-identical to the actor path by construction, with the
-  /// per-site object and scheduling overhead gone.
-  kMultiplexed,
-  /// One heap-allocated SiteActor per site, one site per message dispatch
-  /// (the original runtime). Retained as the conformance baseline and for
-  /// the seed-determinism harness at small N.
-  kActorPerSite,
-};
+/// Per-site RNG stream derived from (seed, site): the same seed always
+/// yields the same per-site update sequence, independent of how sites are
+/// packed onto workers or how workers interleave. Derivation mixes the site
+/// id into the seed with a SplitMix64-style odd multiplier before Rng's own
+/// SplitMix expansion, so streams of neighboring sites are unrelated.
+Rng MakeSiteRng(uint64_t seed, int site);
 
-/// The multiplexed site data plane: one engine instance owns every site a
-/// worker is responsible for and keeps their state in parallel flat arrays
-/// indexed by dense slot. The slot mapping mirrors the transport's
-/// round-robin ownership (`WorkerOf(site) == site % num_workers`):
+/// The site data plane: one engine instance owns every site a worker is
+/// responsible for and keeps their state in parallel flat arrays indexed by
+/// dense slot. The slot mapping mirrors the transport's round-robin
+/// ownership (`WorkerOf(site) == site % num_workers`):
 ///
 ///   slot = site / num_workers        site = slot * num_workers + worker
 ///
 /// so a worker's sites {w, w+W, w+2W, ...} land in slots {0, 1, 2, ...}
 /// with no holes — `thresholds_[slot]`, `values_[slot]`, `cursors_[slot]`,
-/// `updates_[slot]` are contiguous and the per-message dispatch is an
-/// integer divide instead of a pointer chase through a per-site object.
+/// `updates_[slot]` are contiguous, and a worker-addressed range command
+/// [to, end) is one contiguous slot sweep.
 ///
-/// Determinism contract (why this is bit-identical to actor-per-site):
+/// Determinism contract (why virtual-time runs match the lockstep
+/// simulator bit for bit):
 ///  * every per-site RNG stream is derived from (seed, site) alone
 ///    (MakeSiteRng), and each slot owns its Rng — the order sites are
 ///    processed within a batch never touches another site's stream;
-///  * the state transition per message is copied verbatim from SiteActor
-///    (OnEpochStart / NextUpdate / OnPollRequest semantics, including the
-///    observability side effects), so the same message sequence produces
-///    the same reports;
+///  * each epoch draws exactly one value per site, and a site's local
+///    constraint fires iff it is up and its value exceeds its threshold,
+///    exactly as the lockstep scheme evaluates it;
 ///  * the coordinator replays alarms in ascending site order after
-///    collecting every report, and the fault-injecting Channel lives on
-///    the root thread only — transport arrival order (and therefore
-///    batching) cannot perturb fates, charges, or detections.
+///    collecting every range's done marker, and the fault-injecting Channel
+///    lives on the root thread only — transport arrival order (and
+///    therefore batching) cannot perturb fates, charges, or detections.
 ///
-/// Thread ownership is the same as the actor path: exactly one worker
-/// thread drives an engine; no engine state is ever touched by two threads.
+/// Exactly one worker thread drives an engine; no engine state is ever
+/// touched by two threads.
 class SiteEngine {
  public:
   struct Config {
@@ -104,11 +100,15 @@ class SiteEngine {
     return captured_;
   }
 
-  /// Virtual-time loop: batch-drains the worker inbox, applies every
-  /// message to its slot, and pushes the replies back as one batch per
-  /// drained burst. Exits when every owned site received kShutdown or the
-  /// fabric closed.
-  void RunVirtual(Transport* transport);
+  /// Virtual-time loop: batch-drains the worker inbox and applies every
+  /// message in order. A kEpochStart range steps every owned slot in
+  /// [to, end) in one sweep and answers with a kEpochReport per alarmed
+  /// site, then one kEpochDone; a kPollRange answers with one kPollResponse
+  /// per site. Replies go back as one batch per drained burst. Returns OK
+  /// when every owned site received kShutdown or the fabric closed, and an
+  /// InvalidArgument error (after which the engine stops) for a range
+  /// command this worker cannot execute (CheckRangeCommand).
+  Status RunVirtual(Transport* transport);
 
   /// Free-running loop: rotates through the live slots consuming updates;
   /// alarms, site-done markers, and poll responses accumulate in a pending
@@ -122,7 +122,7 @@ class SiteEngine {
 
  private:
   /// Dense slot of a site-addressed envelope; -1 when the site is out of
-  /// range or not owned by this worker (dropped, same as the actor loop).
+  /// range or not owned by this worker (such envelopes are dropped).
   int SlotOf(int32_t site) const;
 
   /// True when the slot draws synthetic values (no trace column).
@@ -130,11 +130,13 @@ class SiteEngine {
   int64_t workload_size(size_t slot) const;
   int64_t ValueAt(size_t slot, int64_t index);
 
-  /// Verbatim SiteActor::OnEpochStart over slot state.
-  ActorMessage OnEpochStart(size_t slot, int64_t epoch, bool up);
-  /// Verbatim SiteActor::NextUpdate over slot state.
+  /// Owned slots [begin, end) of a checked range command [to, value).
+  std::pair<size_t, size_t> SlotRange(const Envelope& command) const;
+  /// One epoch over the slots of a kEpochStart range: draws each slot's
+  /// value, appends a kEpochReport per alarmed site and the kEpochDone.
+  void StepRange(const Envelope& command, std::vector<Envelope>* out);
+  /// Free-running update: consumes the slot's next value, if any.
   bool NextUpdate(size_t slot, int64_t* value, bool* alarmed);
-  /// Verbatim SiteActor::OnPollRequest over slot state.
   ActorMessage OnPollRequest(size_t slot, int64_t epoch) const;
 
   Config config_;
@@ -144,6 +146,7 @@ class SiteEngine {
   std::vector<int64_t> cursors_;   ///< Free-running stream position.
   std::vector<int64_t> updates_;   ///< Updates processed.
   std::vector<Rng> rngs_;          ///< (seed, site)-derived streams.
+  std::vector<char> down_;  ///< Crashed for the next epoch (kSiteDown).
   std::vector<std::vector<int64_t>> captured_;
   obs::Counter* updates_counter_ = nullptr;  ///< "runtime/site/updates".
   obs::Counter* alarms_counter_ = nullptr;   ///< "runtime/site/alarms".

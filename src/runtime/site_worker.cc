@@ -9,8 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/site_actor.h"
-
 namespace dcv {
 namespace {
 
@@ -91,50 +89,25 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
   // Owned sites start unconstrained; the real thresholds arrive as the
   // coordinator's first envelopes (per-connection FIFO guarantees they
   // install before any epoch start or poll reaches the site).
-  const bool multiplexed = options.engine == SiteEngineKind::kMultiplexed;
   std::vector<int> owned_sites;
+  SiteEngine::Config ecfg;
+  ecfg.worker = options.worker;
+  ecfg.num_workers = options.num_workers;
+  ecfg.num_sites = options.num_sites;
   for (int i = options.worker; i < options.num_sites;
        i += options.num_workers) {
     owned_sites.push_back(i);
-  }
-  std::vector<std::unique_ptr<SiteActor>> actors;
-  std::vector<SiteActor*> owned;
-  std::unique_ptr<SiteEngine> engine;
-  if (multiplexed) {
-    SiteEngine::Config ecfg;
-    ecfg.worker = options.worker;
-    ecfg.num_workers = options.num_workers;
-    ecfg.num_sites = options.num_sites;
-    for (int i : owned_sites) {
-      ecfg.thresholds.push_back(std::numeric_limits<int64_t>::max());
-      if (eval != nullptr) {
-        ecfg.series.push_back(eval->SiteSeries(i));
-      }
-    }
-    ecfg.synthetic_updates = eval == nullptr ? options.synthetic_updates : 0;
-    ecfg.seed = options.seed;
-    ecfg.synthetic_max = options.synthetic_max;
-    ecfg.metrics = options.metrics;
-    ecfg.recorder = options.recorder;
-    engine = std::make_unique<SiteEngine>(std::move(ecfg));
-  } else {
-    for (int i : owned_sites) {
-      SiteActor::Config cfg;
-      cfg.site = i;
-      cfg.threshold = std::numeric_limits<int64_t>::max();
-      if (eval != nullptr) {
-        cfg.series = eval->SiteSeries(i);
-      } else {
-        cfg.synthetic_updates = options.synthetic_updates;
-      }
-      cfg.seed = options.seed;
-      cfg.synthetic_max = options.synthetic_max;
-      cfg.metrics = options.metrics;
-      cfg.recorder = options.recorder;
-      actors.push_back(std::make_unique<SiteActor>(cfg));
-      owned.push_back(actors.back().get());
+    ecfg.thresholds.push_back(std::numeric_limits<int64_t>::max());
+    if (eval != nullptr) {
+      ecfg.series.push_back(eval->SiteSeries(i));
     }
   }
+  ecfg.synthetic_updates = eval == nullptr ? options.synthetic_updates : 0;
+  ecfg.seed = options.seed;
+  ecfg.synthetic_max = options.synthetic_max;
+  ecfg.metrics = options.metrics;
+  ecfg.recorder = options.recorder;
+  SiteEngine engine(std::move(ecfg));
 
   SiteWorkerReport report;
   report.sites = owned_sites;
@@ -154,19 +127,7 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
     }
     switch (e.msg.kind) {
       case ActorMsgKind::kThresholdUpdate: {
-        bool found = false;
-        if (multiplexed) {
-          found = engine->ApplyThresholdUpdate(e.to, e.msg.value);
-        } else {
-          for (SiteActor* s : owned) {
-            if (s->site() == e.to) {
-              s->OnThresholdUpdate(e.msg.value);
-              found = true;
-              break;
-            }
-          }
-        }
-        if (!found) {
+        if (!engine.ApplyThresholdUpdate(e.to, e.msg.value)) {
           transport->Shutdown();
           return InternalError("threshold sync addressed to unowned site " +
                                std::to_string(e.to));
@@ -207,17 +168,12 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
     });
   }
 
+  Status run_status = OkStatus();
   if (!aborted) {
-    if (multiplexed) {
-      if (report.virtual_time) {
-        engine->RunVirtual(transport.get());
-      } else {
-        engine->RunFree(transport.get());
-      }
-    } else if (report.virtual_time) {
-      RunSiteWorkerVirtual(transport.get(), options.worker, owned);
+    if (report.virtual_time) {
+      run_status = engine.RunVirtual(transport.get());
     } else {
-      RunSiteWorkerFree(transport.get(), options.worker, owned);
+      engine.RunFree(transport.get());
     }
   }
 
@@ -235,14 +191,9 @@ Result<SiteWorkerReport> RunSiteWorker(const Trace* eval,
       BuildTelemetryFrame(options, transport.get(), /*final_flush=*/true));
   transport->Shutdown();
 
-  if (multiplexed) {
-    for (int64_t u : engine->updates_processed()) {
-      report.total_updates += u;
-    }
-  } else {
-    for (const SiteActor* s : owned) {
-      report.total_updates += s->updates_processed();
-    }
+  DCV_RETURN_IF_ERROR(run_status);
+  for (int64_t u : engine.updates_processed()) {
+    report.total_updates += u;
   }
   report.socket = transport->stats();
   return report;

@@ -30,11 +30,6 @@ struct SiteWorkerOptions {
   uint64_t seed = 42;
   int64_t synthetic_max = 1000000;
 
-  /// Site-side execution engine; must not affect results (virtual-time
-  /// conformance asserts bit-identity), only how the owned sites are
-  /// driven: one SoA engine loop (default) vs one SiteActor per site.
-  SiteEngineKind engine = SiteEngineKind::kMultiplexed;
-
   SocketTransport::Options socket;
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* recorder = nullptr;
@@ -53,8 +48,8 @@ struct SiteWorkerReport {
   SocketStats socket;
 };
 
-/// Connects to the coordinator, builds the owned SiteActors (site s is owned
-/// iff s % num_workers == worker), installs the initial thresholds the
+/// Connects to the coordinator, builds the SiteEngine over the owned sites
+/// (site s is owned iff s % num_workers == worker), installs the initial thresholds the
 /// coordinator pushes before epoch zero, then runs the standard worker loop
 /// in whichever mode the coordinator's handshake advertised. Returns after
 /// the coordinator's kShutdown broadcast. `eval` supplies trace-driven

@@ -642,7 +642,11 @@ void SocketTransport::ReaderLoop(size_t index) {
       fd = c.fd;
       gen = c.generation;
     }
-    FrameReader reader;
+    // A worker's decoder also refuses range commands for sites it does
+    // not own (CheckRangeCommand) before they reach the engine.
+    FrameReader reader(role_ == Role::kWorker
+                           ? WireEndpoint{num_sites_, num_workers_, worker_}
+                           : WireEndpoint{});
     bool clean = false;
     bool stream_ok = true;
     // Bytes the handshake read past its own frame come first: they are

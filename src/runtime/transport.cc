@@ -1,5 +1,7 @@
 #include "runtime/transport.h"
 
+#include <string>
+
 namespace dcv {
 
 std::string_view ActorMsgKindName(ActorMsgKind kind) {
@@ -20,10 +22,37 @@ std::string_view ActorMsgKindName(ActorMsgKind kind) {
       return "poll_response";
     case ActorMsgKind::kThresholdUpdate:
       return "threshold_update";
+    case ActorMsgKind::kEpochDone:
+      return "epoch_done";
+    case ActorMsgKind::kPollRange:
+      return "poll_range";
+    case ActorMsgKind::kSiteDown:
+      return "site_down";
     case ActorMsgKind::kPing:
       return "ping";
   }
   return "unknown";
+}
+
+Status CheckRangeCommand(const Envelope& e, int num_sites, int num_workers,
+                         int worker) {
+  if (!IsRangeCommand(e.msg.kind)) {
+    return OkStatus();
+  }
+  const std::string what = std::string(ActorMsgKindName(e.msg.kind)) +
+                           " range [" + std::to_string(e.to) + ", " +
+                           std::to_string(e.msg.value) + ")";
+  if (e.to < 0 || e.to >= num_sites || num_workers < 1 ||
+      e.to % num_workers != worker) {
+    return InvalidArgumentError(what + " does not start at a site of worker " +
+                                std::to_string(worker));
+  }
+  if (e.msg.value <= e.to || e.msg.value > num_sites) {
+    return InvalidArgumentError(what + " has an end outside (" +
+                                std::to_string(e.to) + ", " +
+                                std::to_string(num_sites) + "]");
+  }
+  return OkStatus();
 }
 
 Result<std::unique_ptr<ThreadTransport>> ThreadTransport::Create(

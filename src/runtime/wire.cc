@@ -262,7 +262,26 @@ Status AppendTelemetryFrame(const TelemetryFrame& t, std::string* out) {
   return OkStatus();
 }
 
-Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
+namespace {
+
+/// Kind and range checks shared by single and batched envelope frames.
+Status CheckEnvelope(uint8_t kind, const Envelope& e,
+                     const WireEndpoint& endpoint) {
+  if (kind > static_cast<uint8_t>(kLastWireKind)) {
+    return InvalidArgumentError("invalid actor message kind " +
+                                std::to_string(kind));
+  }
+  if (endpoint.worker >= 0) {
+    return CheckRangeCommand(e, endpoint.num_sites, endpoint.num_workers,
+                             endpoint.worker);
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
+Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len,
+                                     const WireEndpoint& endpoint) {
   Cursor c{data, len};
   uint8_t version = c.U8();
   uint8_t type = c.U8();
@@ -288,11 +307,8 @@ Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
       if (!c.ok || c.pos != len) {
         return InvalidArgumentError("malformed envelope frame body");
       }
-      if (kind > static_cast<uint8_t>(ActorMsgKind::kThresholdUpdate)) {
-        return InvalidArgumentError("invalid actor message kind " +
-                                    std::to_string(kind));
-      }
       frame.envelope.msg.kind = static_cast<ActorMsgKind>(kind);
+      DCV_RETURN_IF_ERROR(CheckEnvelope(kind, frame.envelope, endpoint));
       return frame;
     }
     case FrameType::kEnvelopeBatch: {
@@ -312,13 +328,13 @@ Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len) {
         e.msg.flag = c.U8() != 0;
         e.msg.epoch = c.I64();
         e.msg.value = c.I64();
-        if (c.ok &&
-            kind > static_cast<uint8_t>(ActorMsgKind::kThresholdUpdate)) {
-          return InvalidArgumentError("invalid actor message kind " +
-                                      std::to_string(kind) +
-                                      " in envelope batch");
-        }
         e.msg.kind = static_cast<ActorMsgKind>(kind);
+        if (c.ok) {
+          if (Status st = CheckEnvelope(kind, e, endpoint); !st.ok()) {
+            return InvalidArgumentError(std::string(st.message()) +
+                                        " in envelope batch");
+          }
+        }
       }
       frame.seq = c.U64();
       if (!c.ok || c.pos != len) {
@@ -522,7 +538,8 @@ Result<bool> FrameReader::Next(WireFrame* out) {
   if (buffer_.size() - pos_ < 4 + static_cast<size_t>(payload)) {
     return false;
   }
-  DCV_ASSIGN_OR_RETURN(WireFrame frame, DecodeFramePayload(base + 4, payload));
+  DCV_ASSIGN_OR_RETURN(WireFrame frame,
+                       DecodeFramePayload(base + 4, payload, endpoint_));
   *out = frame;
   pos_ += 4 + static_cast<size_t>(payload);
   // Compact once the consumed prefix dominates, keeping amortized O(1).

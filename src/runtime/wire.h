@@ -51,8 +51,15 @@ namespace dcv {
 // all K envelopes together — a batch can never be half-applied after a
 // resume. Batch frames may exceed kMaxFramePayload (up to
 // kMaxBatchPayload, type-peeked like telemetry).
+//
+// Version 5 makes the worker-addressed virtual-time barrier wire-legal: the
+// range commands kEpochStart and kPollRange (to = the worker's first site
+// of a shard range, value = the exclusive end), the kEpochDone marker and
+// the per-site kSiteDown flag (actor_message.h). kPing stays process-local.
+// A worker-side decoder also refuses a range it cannot execute
+// (CheckRangeCommand).
 
-inline constexpr uint8_t kWireVersion = 4;
+inline constexpr uint8_t kWireVersion = 5;
 
 /// Handshake magic ("DCVS"): rejects a non-dcv peer on byte one of the
 /// hello body instead of mid-run.
@@ -201,16 +208,32 @@ void AppendLayoutAckFrame(const LayoutAckFrame& a, std::string* out);
 /// trace-event batch and retry rather than silently truncating metrics.
 Status AppendTelemetryFrame(const TelemetryFrame& t, std::string* out);
 
+/// The fabric position of the decoding side. A worker's decoder (worker
+/// >= 0) checks every range command against its own sites; the default
+/// (worker < 0: the coordinator, which never receives range commands)
+/// checks kinds only.
+struct WireEndpoint {
+  int num_sites = 0;
+  int num_workers = 0;
+  int worker = -1;
+};
+
 /// Decodes one payload (the bytes after the length prefix). Fails on short
-/// bodies, unknown frame types, version or magic mismatches, and invalid
-/// enum values.
-Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len);
+/// bodies, unknown frame types, version or magic mismatches, invalid enum
+/// values (including process-local kinds such as kPing), and range commands
+/// `endpoint` cannot execute.
+Result<WireFrame> DecodeFramePayload(const uint8_t* data, size_t len,
+                                     const WireEndpoint& endpoint = {});
 
 /// Incremental frame assembler for a TCP byte stream: feed whatever read()
 /// returned, pop complete frames. Handles frames split across arbitrarily
 /// many reads and multiple frames per read.
 class FrameReader {
  public:
+  FrameReader() = default;
+  /// Decodes as `endpoint` (see DecodeFramePayload).
+  explicit FrameReader(WireEndpoint endpoint) : endpoint_(endpoint) {}
+
   /// Appends raw bytes from the stream.
   void Append(const uint8_t* data, size_t n);
 
@@ -236,6 +259,7 @@ class FrameReader {
   std::string TakeBuffered();
 
  private:
+  WireEndpoint endpoint_;
   std::string buffer_;
   size_t pos_ = 0;  ///< Consumed prefix of buffer_; compacted lazily.
 };

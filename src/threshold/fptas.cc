@@ -59,6 +59,8 @@ class LevelGenerator {
   }
 
   const std::vector<Level>& levels() const { return levels_; }
+  /// Lower bound of every level threshold this generator can produce.
+  int64_t t_floor() const { return t_floor_; }
 
  private:
   const CdfView* cdf_;
@@ -108,6 +110,23 @@ Result<ThresholdSolution> FptasSolver::SolveWithStats(
                             per_var_cap);
   }
 
+  // Every level threshold is >= its variable's floor, so D(n, p) >=
+  // sum A_i * t_floor_i in every column. When that sum already exceeds the
+  // budget no column can meet it: fill no column and fall through to the
+  // exit the full fill would reach (degenerate fallback, or
+  // ResourceExhausted when the cell cap would have truncated it). Overflow
+  // saturates, which only means "exceeds".
+  int64_t floor_cost = 0;
+  for (size_t i = 0; i < n && floor_cost <= problem.budget; ++i) {
+    int64_t term = 0;
+    if (__builtin_mul_overflow(problem.vars[i].weight, generators[i].t_floor(),
+                               &term) ||
+        __builtin_add_overflow(floor_cost, term, &floor_cost)) {
+      floor_cost = std::numeric_limits<int64_t>::max();
+    }
+  }
+  const int64_t columns = floor_cost > problem.budget ? 0 : max_columns;
+
   // Deficit-major DP with early exit (the paper's table filled column by
   // column): dp[i][p] = D(i, p) = min sum_{k<=i} A_k * I_k(s_k) subject to
   // sum s_k <= p. We stop at the first p with D(n, p) <= budget — for
@@ -119,7 +138,7 @@ Result<ThresholdSolution> FptasSolver::SolveWithStats(
   std::vector<std::vector<int32_t>> choice(n);
 
   int64_t p_star = -1;
-  for (int64_t p = 0; p < max_columns; ++p) {
+  for (int64_t p = 0; p < columns; ++p) {
     dp[0].push_back(0);
     for (size_t i = 0; i < n; ++i) {
       const int64_t weight = problem.vars[i].weight;

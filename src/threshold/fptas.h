@@ -36,6 +36,13 @@ namespace dcv {
 /// budgets no column can meet). The scan keeps the earliest level on ties,
 /// so both exits yield the argmin, table, p* and thresholds of the full
 /// scan.
+///
+/// Before the fill, every level threshold is at least its variable's floor
+/// t_floor_i (the smallest t with P_i(t) >= prob_floor), so D(n, p) >=
+/// sum_i A_i t_floor_i for every p. When that sum exceeds the budget no
+/// column is filled (Stats::dp_cells == 0) and the solver returns what the
+/// full fill would: the degenerate fallback, or ResourceExhausted when the
+/// cell cap would have truncated the fill.
 class FptasSolver : public ThresholdSolver {
  public:
   struct Options {

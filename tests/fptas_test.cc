@@ -183,7 +183,9 @@ TEST(FptasTest, DpCellGuard) {
   // surface as ResourceExhausted rather than a silent fallback.
   EmpiricalCdf model({10, 20, 30, 40, 50}, 50);
   ThresholdProblem p;
-  p.budget = 10;  // Only the smallest observation is affordable.
+  // Only the smallest observation is affordable, and only just: the floor
+  // sum 10 + 10 meets the budget, so the solver must search for it.
+  p.budget = 20;
   p.vars.push_back(ProblemVar{0, 1, CdfView(&model, false)});
   p.vars.push_back(ProblemVar{1, 1, CdfView(&model, false)});
   FptasSolver::Options options;
@@ -362,9 +364,23 @@ Result<ThresholdSolution> ReferenceSolve(const FptasSolver::Options& options,
   return solution;
 }
 
+// True when sum A_i * t_floor_i exceeds the budget: every level threshold
+// is at least its variable's floor, so no DP column can meet the budget.
+bool ProvablyInfeasible(const FptasSolver::Options& options,
+                        const ThresholdProblem& problem) {
+  int64_t floor_cost = 0;
+  for (const ProblemVar& v : problem.vars) {
+    floor_cost += v.weight * std::min(v.cdf.MinValueWithProbAtLeast(
+                                          options.prob_floor),
+                                      v.cdf.domain_max());
+  }
+  return floor_cost > problem.budget;
+}
+
 // Solves with FptasSolver, expects every output to equal the reference's
 // (the pruned scan may only evaluate fewer levels), and returns
-// FptasSolver's result.
+// FptasSolver's result. On provably infeasible instances FptasSolver fills
+// no column at all and only the outcome is compared.
 Result<ThresholdSolution> SolveAndCompare(const FptasSolver::Options& options,
                                           const ThresholdProblem& problem,
                                           FptasSolver::Stats* stats) {
@@ -372,11 +388,16 @@ Result<ThresholdSolution> SolveAndCompare(const FptasSolver::Options& options,
   auto got = FptasSolver(options).SolveWithStats(problem, stats);
   auto want = ReferenceSolve(options, problem, &want_stats);
   EXPECT_EQ(got.status().code(), want.status().code());
-  EXPECT_EQ(stats->total_levels, want_stats.total_levels);
-  EXPECT_EQ(stats->useful_levels, want_stats.useful_levels);
-  EXPECT_EQ(stats->dp_cells, want_stats.dp_cells);
   EXPECT_EQ(stats->deficit, want_stats.deficit);
-  EXPECT_LE(stats->scanned_levels, want_stats.scanned_levels);
+  if (ProvablyInfeasible(options, problem)) {
+    EXPECT_EQ(stats->dp_cells, 0);
+    EXPECT_EQ(stats->scanned_levels, 0);
+  } else {
+    EXPECT_EQ(stats->total_levels, want_stats.total_levels);
+    EXPECT_EQ(stats->useful_levels, want_stats.useful_levels);
+    EXPECT_EQ(stats->dp_cells, want_stats.dp_cells);
+    EXPECT_LE(stats->scanned_levels, want_stats.scanned_levels);
+  }
   EXPECT_LE(stats->dp_cells, options.max_dp_cells);
   if (got.ok() && want.ok()) {
     EXPECT_EQ(got->thresholds, want->thresholds);
@@ -392,6 +413,7 @@ TEST(FptasEquivalenceTest, MatchesFullScanOnRandomInstances) {
   int solved = 0;
   int degenerate = 0;
   int exhausted = 0;
+  int infeasible = 0;
   for (int trial = 0; trial < 300; ++trial) {
     RandomInstance inst = MakeRandomInstance(rng, 6, 40, 80);
     for (ProblemVar& v : inst.problem.vars) {
@@ -407,6 +429,9 @@ TEST(FptasEquivalenceTest, MatchesFullScanOnRandomInstances) {
       options.max_dp_cells = rng.UniformInt(1, 400);
     }
     SCOPED_TRACE(testing::Message() << "trial " << trial);
+    if (ProvablyInfeasible(options, inst.problem)) {
+      ++infeasible;
+    }
     FptasSolver::Stats stats;
     auto sol = SolveAndCompare(options, inst.problem, &stats);
     if (!sol.ok()) {
@@ -421,6 +446,7 @@ TEST(FptasEquivalenceTest, MatchesFullScanOnRandomInstances) {
   EXPECT_GT(solved, 100);
   EXPECT_GT(degenerate, 0);
   EXPECT_GT(exhausted, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 TEST(FptasEquivalenceTest, MatchesFullScanOnTieHeavyData) {
@@ -502,6 +528,50 @@ TEST(FptasEquivalenceTest, MatchesFullScanOnSnmpPlan) {
   EXPECT_EQ(solver.last_stats().dp_cells, 119296);
   // The bound skips most of the full scan's ~222M level evaluations.
   EXPECT_LT(solver.last_stats().scanned_levels, 100'000'000);
+}
+
+TEST(FptasTest, MirroredSnmpPlanIsRejectedBeforeTheTableFill) {
+  // A plan_replay-style plan over 16 SNMP-like sites where every fifth
+  // site's view is mirrored: the mirrored floors alone exceed the budget,
+  // so the answer is the degenerate fallback and no DP cell is filled
+  // (the full fill spends millions of cells reaching the same fallback).
+  SnmpTraceOptions gen;
+  gen.num_sites = 16;
+  gen.num_weeks = 13;
+  gen.seed = 1;
+  gen.shape_spread = 0.3;
+  gen.site_scale_sigma = 0.5;
+  gen.bimodal_fraction = 0.0;
+  auto trace = GenerateSnmpTrace(gen);
+  ASSERT_TRUE(trace.ok());
+  const int64_t train = EpochsPerWeek(gen);
+  auto training = trace->Slice(0, train);
+  auto eval = trace->Slice(train, trace->num_epochs());
+  ASSERT_TRUE(training.ok() && eval.ok());
+  auto budget = ThresholdForOverflowFraction(*eval, {}, 0.01);
+  ASSERT_TRUE(budget.ok());
+  std::vector<std::unique_ptr<EquiDepthHistogram>> models;
+  ThresholdProblem problem;
+  problem.budget = *budget;
+  for (int i = 0; i < gen.num_sites; ++i) {
+    std::vector<int64_t> series = training->SiteSeries(i);
+    const int64_t m =
+        4 * std::max<int64_t>(1, *std::max_element(series.begin(),
+                                                   series.end()));
+    auto h = EquiDepthHistogram::Build(series, m, 100);
+    ASSERT_TRUE(h.ok());
+    models.push_back(std::make_unique<EquiDepthHistogram>(std::move(*h)));
+    problem.vars.push_back(ProblemVar{
+        i, 1, CdfView(models.back().get(), /*mirrored=*/i % 5 == 0)});
+  }
+  FptasSolver::Options options;
+  ASSERT_TRUE(ProvablyInfeasible(options, problem));
+  FptasSolver::Stats stats;
+  auto sol = FptasSolver(options).SolveWithStats(problem, &stats);
+  ASSERT_TRUE(sol.ok()) << sol.status();
+  EXPECT_TRUE(sol->degenerate);
+  EXPECT_EQ(stats.dp_cells, 0);
+  EXPECT_EQ(stats.scanned_levels, 0);
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "obs/obs.h"
 #include "runtime/plan.h"
+#include "runtime/runtime.h"
 #include "sim/local_scheme.h"
 #include "threshold/fptas.h"
 #include "threshold/heuristics.h"
@@ -555,6 +558,162 @@ TEST(RuntimeConformanceTest, BuildLocalPlanMatchesSchemeThresholds) {
   ASSERT_EQ(plan->domain_max.size(), 4u);
   for (int64_t m : plan->domain_max) {
     EXPECT_GT(m, 0);
+  }
+}
+
+// --- Worker-addressed barrier ----------------------------------------------
+//
+// Every virtual run goes through the same shard legs — inline on the root
+// thread for one shard, on shard threads otherwise — with one range command
+// per (shard, worker) pair. These cover the shapes where ranges and
+// per-site envelopes meet.
+
+TEST(ShardedConformanceTest, OneLegPathAcrossShardCounts1To4) {
+  // Lockstep, thread and socket runs (the harness adds the third run for
+  // the socket transport) must agree for every shard count.
+  Workload w = MakeSyntheticWorkload(61, /*num_sites=*/8);
+  FptasSolver solver(0.05);
+  for (int shards : {1, 2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ConformanceSpec spec;
+    spec.protocol = RuntimeProtocol::kLocalThreshold;
+    spec.solver = &solver;
+    spec.global_threshold = PickThreshold(w, 0.02);
+    spec.num_workers = 3;
+    spec.num_shards = shards;
+    spec.transport = TransportKind::kSocket;
+    ExpectConformant(w, spec);
+  }
+}
+
+TEST(ShardedConformanceTest, UnevenSevenSitesThreeShardsFourWorkers) {
+  // Shards {0,1,2}, {3,4}, {5,6} over 4 workers (site % 4): worker 3 has
+  // no site in shard 0, workers 1 and 2 none in shard 1, workers 0 and 3
+  // none in shard 2. Empty pairs get no command and no done marker.
+  Workload w = MakeSyntheticWorkload(149, /*num_sites=*/7);
+  FptasSolver solver(0.1);
+  ConformanceSpec spec;
+  spec.protocol = RuntimeProtocol::kLocalThreshold;
+  spec.solver = &solver;
+  spec.global_threshold = PickThreshold(w, 0.02);
+  spec.num_shards = 3;
+  spec.num_workers = 4;
+  ExpectConformant(w, spec);
+}
+
+TEST(ShardedConformanceTest, CrashPartitionAndResyncAcrossShardCounts) {
+  // Down markers and threshold re-syncs travel per site ahead of the range
+  // start; overlapping crash windows put two sites of one range down at
+  // once, and a partition overlaps one of them.
+  Workload w = MakeSyntheticWorkload(163, /*num_sites=*/6);
+  FptasSolver solver(0.1);
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ConformanceSpec spec;
+    spec.protocol = RuntimeProtocol::kLocalThreshold;
+    spec.solver = &solver;
+    spec.global_threshold = PickThreshold(w, 0.02);
+    spec.num_shards = shards;
+    spec.num_workers = 2;
+    spec.faults.loss = 0.05;
+    spec.faults.retry.enable_acks = true;
+    spec.faults.retry.max_attempts = 2;
+    spec.faults.crashes = {{/*site=*/1, /*from=*/50, /*to=*/150},
+                           {/*site=*/3, /*from=*/100, /*to=*/180},
+                           {/*site=*/1, /*from=*/300, /*to=*/310}};
+    spec.faults.partitions = {{/*from=*/120, /*to=*/140}};
+    spec.faults.seed = 0x5eedULL;
+    ExpectConformant(w, spec);
+  }
+}
+
+TEST(ShardedConformanceTest, SocketSingleShardWithCrashes) {
+  // The inline 1-shard leg over TCP: range commands, down markers and
+  // re-syncs cross the wire and the done markers route back by sender.
+  Workload w = MakeSyntheticWorkload(167, /*num_sites=*/5,
+                                     /*train_epochs=*/300,
+                                     /*eval_epochs=*/300);
+  FptasSolver solver(0.1);
+  ConformanceSpec spec;
+  spec.protocol = RuntimeProtocol::kLocalThreshold;
+  spec.solver = &solver;
+  spec.global_threshold = PickThreshold(w, 0.02);
+  spec.num_workers = 3;
+  spec.transport = TransportKind::kSocket;
+  spec.faults.crashes = {{/*site=*/4, /*from=*/40, /*to=*/90}};
+  auto report = RunConformance(w.training, w.eval, spec);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_TRUE(report->identical) << report->mismatch;
+  ASSERT_TRUE(report->ran_socket);
+  EXPECT_EQ(report->socket_runtime.socket.decode_errors, 0);
+}
+
+TEST(ChaosConformanceTest, KillShardReExecutesRangeLegs) {
+  // The root re-executes a dead shard's pending epoch leg: its range starts
+  // go to three workers, and every later leg of that range runs inline.
+  Workload w = MakeSyntheticWorkload(173, /*num_sites=*/9);
+  FptasSolver solver(0.05);
+  ConformanceSpec spec;
+  spec.protocol = RuntimeProtocol::kLocalThreshold;
+  spec.solver = &solver;
+  spec.global_threshold = PickThreshold(w, 0.02);
+  spec.num_workers = 3;
+  spec.num_shards = 3;
+  spec.faults.crashes = {{/*site=*/4, /*from=*/100, /*to=*/400}};
+  spec.chaos.kind = ChaosKind::kKillShard;
+  spec.chaos.seed = 19;
+  spec.heartbeat_timeout_ms = 300;
+  auto report = RunConformance(w.training, w.eval, spec);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_TRUE(report->identical) << report->mismatch;
+  EXPECT_EQ(report->runtime.shard_recoveries, 1);
+}
+
+// runtime/coordinator/barrier_envelopes counts what the epoch legs move:
+// per epoch, one range start and one done marker per non-empty (shard,
+// worker) pair, one report per alarmed site, plus one down marker per
+// crashed site and one re-sync per recovered site.
+TEST(RuntimeBarrierTest, BarrierEnvelopesPerEpochAreExact) {
+  Workload w = MakeSyntheticWorkload(179, /*num_sites=*/7);
+  FptasSolver solver(0.05);
+  const int64_t epochs = w.eval.num_epochs();
+  struct Case {
+    int shards;
+    int workers;
+    int64_t pairs;  ///< Non-empty (shard, worker) pairs.
+    std::vector<CrashWindow> crashes;
+  };
+  const std::vector<Case> cases = {
+      {1, 3, 3, {}},
+      {3, 4, 7, {}},  // Shards {0,1,2}, {3,4}, {5,6}: 3 + 2 + 2 pairs.
+      {2, 2, 4, {{/*site=*/2, /*from=*/10, /*to=*/30},
+                 {/*site=*/5, /*from=*/20, /*to=*/epochs + 5}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "shards=" << c.shards
+                                    << " workers=" << c.workers);
+    obs::MetricsRegistry metrics;
+    RuntimeOptions options;
+    options.protocol = RuntimeProtocol::kLocalThreshold;
+    options.solver = &solver;
+    options.global_threshold = PickThreshold(w, 0.02);
+    options.num_shards = c.shards;
+    options.num_workers = c.workers;
+    options.faults.crashes = c.crashes;
+    options.metrics = &metrics;
+    auto result = RunMonitorRuntime(w.training, w.eval, options);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    int64_t expected = 0;
+    for (const EpochDetection& det : result->detections) {
+      expected += 2 * c.pairs + det.num_alarms;
+    }
+    for (const CrashWindow& crash : c.crashes) {
+      expected += std::min(crash.to, epochs) - crash.from;  // Down markers.
+      expected += crash.to < epochs ? 1 : 0;                // Re-sync.
+    }
+    EXPECT_GT(result->total_alarms, 0);
+    EXPECT_EQ(metrics.counter("runtime/coordinator/barrier_envelopes")->value(),
+              expected);
   }
 }
 

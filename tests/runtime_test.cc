@@ -6,7 +6,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/site_actor.h"
+#include "runtime/site_engine.h"
 #include "runtime/transport.h"
 #include "trace/trace.h"
 

@@ -34,8 +34,7 @@ void ExpectEnvelopeEq(const Envelope& want, const Envelope& got) {
 }
 
 TEST(WireTest, EnvelopeRoundTripAllKinds) {
-  for (uint8_t k = 0;
-       k <= static_cast<uint8_t>(ActorMsgKind::kThresholdUpdate); ++k) {
+  for (uint8_t k = 0; k <= static_cast<uint8_t>(kLastWireKind); ++k) {
     Envelope e = MakeEnvelope(
         /*from=*/kCoordinatorId, /*to=*/7, static_cast<ActorMsgKind>(k),
         /*epoch=*/-1, /*value=*/INT64_MIN, /*flag=*/k % 2 == 0);
@@ -606,6 +605,117 @@ TEST(WireTest, EnvelopeBatchRejectsLyingCount) {
                    reinterpret_cast<const uint8_t*>(buf.data()) + 4,
                    buf.size() - 4)
                    .ok());
+}
+
+TEST(WireTest, PingStaysProcessLocal) {
+  std::string buf;
+  AppendEnvelopeFrame(MakeEnvelope(kCoordinatorId, kCoordinatorId,
+                                   ActorMsgKind::kPing, 1, 0, false),
+                      &buf);
+  auto frame = DecodeFramePayload(
+      reinterpret_cast<const uint8_t*>(buf.data()) + 4, buf.size() - 4);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.status().message().find("message kind"), std::string::npos);
+}
+
+TEST(WireTest, VersionFourPeerIsRefusedAtHello) {
+  std::string buf;
+  AppendHelloFrame(HelloFrame{}, &buf);
+  buf[4] = 4;  // A v4 worker's version byte.
+  auto frame = DecodeFramePayload(
+      reinterpret_cast<const uint8_t*>(buf.data()) + 4, buf.size() - 4);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.status().message().find("got 4, want 5"), std::string::npos)
+      << frame.status().message();
+}
+
+// Worker 1 of 2 over 7 sites owns sites 1, 3 and 5.
+constexpr WireEndpoint kWorkerOne{7, 2, 1};
+
+TEST(WireTest, BarrierKindsRoundTripThroughAWorkerDecoder) {
+  const std::vector<Envelope> sent = {
+      MakeEnvelope(kCoordinatorId, 5, ActorMsgKind::kSiteDown, 3, 0, false),
+      MakeEnvelope(kCoordinatorId, 1, ActorMsgKind::kEpochStart, 3, 7, false),
+      MakeEnvelope(kCoordinatorId, 3, ActorMsgKind::kPollRange, 3, 6, false),
+      MakeEnvelope(kCoordinatorId, 5, ActorMsgKind::kEpochStart, 4, 6, false),
+  };
+  std::string stream;
+  AppendEnvelopeBatchFrame(sent.data(), sent.size(), &stream, /*seq=*/9);
+  AppendEnvelopeFrame(sent[1], &stream, /*seq=*/10);
+  FrameReader reader(kWorkerOne);
+  reader.Append(reinterpret_cast<const uint8_t*>(stream.data()),
+                stream.size());
+  WireFrame frame;
+  auto r = reader.Next(&frame);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  ASSERT_TRUE(*r);
+  ASSERT_EQ(frame.batch.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    ExpectEnvelopeEq(sent[i], frame.batch[i]);
+  }
+  r = reader.Next(&frame);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  ASSERT_TRUE(*r);
+  ExpectEnvelopeEq(sent[1], frame.envelope);
+
+  // The coordinator-bound done marker decodes on the coordinator side.
+  std::string done;
+  AppendEnvelopeFrame(
+      MakeEnvelope(3, kCoordinatorId, ActorMsgKind::kEpochDone, 3, 7, false),
+      &done);
+  auto d = DecodeFramePayload(
+      reinterpret_cast<const uint8_t*>(done.data()) + 4, done.size() - 4);
+  ASSERT_TRUE(d.ok()) << d.status().message();
+  EXPECT_EQ(d->envelope.msg.kind, ActorMsgKind::kEpochDone);
+}
+
+TEST(WireTest, WorkerDecoderRejectsRangesItCannotExecute) {
+  struct Case {
+    int to;
+    int64_t end;
+    const char* why;
+  };
+  const Case cases[] = {
+      {2, 7, "does not start at a site of worker 1"},  // Worker 0's site.
+      {-1, 7, "does not start at a site of worker 1"},
+      {9, 11, "does not start at a site of worker 1"},  // Past the fabric.
+      {3, 3, "has an end outside (3, 7]"},
+      {3, 1, "has an end outside (3, 7]"},
+      {3, 8, "has an end outside (3, 7]"},
+      {3, INT64_MAX, "has an end outside (3, 7]"},
+  };
+  for (ActorMsgKind kind :
+       {ActorMsgKind::kEpochStart, ActorMsgKind::kPollRange}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << "to=" << c.to << " end=" << c.end);
+      const Envelope e = MakeEnvelope(kCoordinatorId, c.to, kind, 0, c.end,
+                                      false);
+      std::string single;
+      AppendEnvelopeFrame(e, &single);
+      auto frame = DecodeFramePayload(
+          reinterpret_cast<const uint8_t*>(single.data()) + 4,
+          single.size() - 4, kWorkerOne);
+      ASSERT_FALSE(frame.ok());
+      EXPECT_NE(frame.status().message().find(c.why), std::string::npos)
+          << frame.status().message();
+
+      // Inside a batch the whole frame is refused, through the reader too.
+      const Envelope ok =
+          MakeEnvelope(kCoordinatorId, 1, ActorMsgKind::kEpochStart, 0, 7,
+                       false);
+      const Envelope pair[] = {ok, e};
+      std::string batch;
+      AppendEnvelopeBatchFrame(pair, 2, &batch);
+      FrameReader reader(kWorkerOne);
+      reader.Append(reinterpret_cast<const uint8_t*>(batch.data()),
+                    batch.size());
+      WireFrame out;
+      auto r = reader.Next(&out);
+      ASSERT_FALSE(r.ok());
+      EXPECT_NE(r.status().message().find("in envelope batch"),
+                std::string::npos);
+    }
+  }
 }
 
 }  // namespace
