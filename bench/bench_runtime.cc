@@ -3,7 +3,8 @@
 // the coordinator serves alarms and poll rounds. Reports aggregate
 // updates/sec per (site count, shard count) — the scaling story for the
 // threaded runtime vs. the single-threaded lockstep simulator, and for the
-// two-level coordinator tree (--shards) vs. the flat coordinator.
+// two-level coordinator tree across shard counts (--shards 1 is the same
+// tree with one shard thread).
 //
 // Usage: bench_runtime [--updates U] [--sites 2,4,8,16] [--shards 1]
 //                      [--seed 42] [--alarm-fraction 0.02] [--workers 0]
@@ -36,9 +37,9 @@
 // the framing + kernel socket overhead against the mailbox baseline.
 // --chaos kill-shard injects one seed-resolved shard crash into every
 // configuration and reports the measured recovery time; shards=1 configs
-// run healthy (a flat coordinator has no shard to lose). Recovery gauges
-// (shard_recoveries, recovery_ms) are always emitted so the JSON schema
-// is stable with and without chaos.
+// run healthy (kill-shard needs a second shard to survive the first).
+// Recovery gauges (shard_recoveries, recovery_ms) are always emitted so
+// the JSON schema is stable with and without chaos.
 
 #include <algorithm>
 #include <cinttypes>
@@ -329,8 +330,8 @@ int RunBench(const BenchConfig& config) {
       options.chaos = config.chaos;
       options.heartbeat_timeout_ms = config.heartbeat_timeout_ms;
       if (config.chaos.kind == ChaosKind::kKillShard && shards < 2) {
-        // A flat coordinator has no shard to lose; run this config healthy
-        // so the sweep still covers it.
+        // Kill-shard needs k >= 2 (the runtime rejects it at k = 1); run
+        // this config healthy so the sweep still covers it.
         std::printf("# shards=1 for sites=%d runs healthy (kill-shard needs "
                     "a sharded tree)\n",
                     sites);

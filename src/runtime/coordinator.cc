@@ -5,12 +5,12 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "runtime/mailbox.h"
-#include "runtime/plan.h"
 #include "runtime/shard.h"
 #include "runtime/shard_layout.h"
 
@@ -64,8 +64,9 @@ Status CoordinatorActor::Init() {
       return InvalidArgumentError("domain_max size mismatch");
     }
   }
-  DCV_RETURN_IF_ERROR(channel_.Init(config_.num_sites, &counter_));
-  channel_.SetObserver(config_.metrics, config_.recorder);
+  // Free runs never touch the root channel (each shard owns one), so only
+  // RunVirtual sizes it; a bad fault spec still fails here, up front.
+  DCV_RETURN_IF_ERROR(config_.faults.Validate(config_.num_sites));
   if (config_.metrics != nullptr) {
     alarms_rx_ = config_.metrics->counter("runtime/coordinator/alarms");
     polls_ = config_.metrics->counter("runtime/coordinator/polls");
@@ -82,161 +83,6 @@ Status CoordinatorActor::Init() {
     detection_lag_ = config_.metrics->histogram(
         "runtime/detection_lag_epochs",
         obs::Histogram::ExponentialBounds(1.0, 2.0, 16));
-  }
-  return OkStatus();
-}
-
-Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
-  if (config_.num_shards > 1) {
-    return RunFreeSharded(transport, out);
-  }
-  out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
-                      ? "local-threshold"
-                      : "polling";
-  out->mode = "free-running";
-
-  const int n = config_.num_sites;
-  out->site_updates.assign(static_cast<size_t>(n), 0);
-
-  // Simulated time degrades to a watermark: the highest site-local update
-  // index seen on any alarm. The channel only ever moves forward (crash and
-  // partition windows still engage), never re-runs an epoch transition.
-  int64_t watermark = -1;
-  bool poll_outstanding = false;
-  bool poll_dirty = false;  ///< Alarm arrived mid-round: re-poll after.
-  int poll_pending = 0;
-  std::vector<int64_t> poll_values(static_cast<size_t>(n), 0);
-  int sites_done = 0;
-
-  auto advance_watermark = [&](int64_t epoch) {
-    if (epoch > watermark) {
-      channel_.BeginEpoch(epoch);
-      watermark = epoch;
-    }
-  };
-  std::chrono::steady_clock::time_point round_start;
-  int64_t poll_trigger_epoch = 0;  ///< Watermark when the round started.
-  std::vector<Envelope> requests;  ///< Reused poll fan-out batch.
-  auto start_poll = [&]() -> Status {
-    ActorMessage request;
-    request.kind = ActorMsgKind::kPollRequest;
-    request.epoch = std::max<int64_t>(watermark, 0);
-    poll_trigger_epoch = request.epoch;
-    requests.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      requests.push_back(Envelope{kCoordinatorId, i, request});
-    }
-    if (!transport->SendBatch(&requests)) {
-      return InternalError("transport closed during poll round");
-    }
-    std::fill(poll_values.begin(), poll_values.end(), 0);
-    poll_pending = n;
-    poll_outstanding = true;
-    DCV_OBS_COUNT(polls_, 1);
-    if (poll_round_us_ != nullptr) {
-      round_start = std::chrono::steady_clock::now();
-    }
-    return OkStatus();
-  };
-
-  // Batch-drain the inbox: at scale the alarm stream arrives thousands per
-  // wakeup; one PopAll per burst replaces one mutex round trip per alarm.
-  std::vector<Envelope> burst;
-  size_t burst_next = 0;
-  auto next_envelope = [&](Envelope* out_env) {
-    if (burst_next >= burst.size()) {
-      burst.clear();
-      burst_next = 0;
-      if (transport->RecvShardAll(0, &burst) == 0) {
-        return false;
-      }
-    }
-    *out_env = burst[burst_next++];
-    return true;
-  };
-
-  Envelope e;
-  while (sites_done < n || poll_outstanding) {
-    if (!next_envelope(&e)) {
-      return InternalError("transport closed while sites were live");
-    }
-    switch (e.msg.kind) {
-      case ActorMsgKind::kAlarm: {
-        advance_watermark(e.msg.epoch);
-        DCV_OBS_COUNT(alarms_rx_, 1);
-        ++out->total_alarms;
-        SendStatus s = channel_.SendFromSite(e.from, MessageType::kAlarm,
-                                             /*reliable=*/true, e.msg.value);
-        std::vector<Channel::Arrival> stale =
-            channel_.TakeArrivals(MessageType::kAlarm);
-        if (s == SendStatus::kDelivered || !stale.empty()) {
-          // At most one outstanding round: a burst of alarms collapses into
-          // one poll now plus one catch-up poll after it resolves.
-          if (poll_outstanding) {
-            poll_dirty = true;
-          } else {
-            DCV_RETURN_IF_ERROR(start_poll());
-          }
-        }
-        break;
-      }
-      case ActorMsgKind::kPollResponse: {
-        if (!poll_outstanding) {
-          break;  // Response to a round we already resolved; ignore.
-        }
-        poll_values[static_cast<size_t>(e.from)] = e.msg.value;
-        if (--poll_pending == 0) {
-          PollOutcome poll = channel_.PollSites(
-              poll_values, config_.weights,
-              config_.protocol == RuntimeProtocol::kLocalThreshold
-                  ? config_.domain_max
-                  : std::vector<int64_t>{});
-          ++out->polled_epochs;
-          if (poll.weighted_sum > config_.global_threshold) {
-            ++out->violations_flagged;
-          }
-          poll_outstanding = false;
-          if (poll_round_us_ != nullptr) {
-            poll_round_us_->Observe(static_cast<double>(ElapsedUs(round_start)));
-          }
-          if (detection_lag_ != nullptr) {
-            // Lag in watermark epochs between the triggering alarm and the
-            // round resolving (the lockstep ground truth detects at the
-            // trigger epoch itself).
-            detection_lag_->Observe(static_cast<double>(std::max<int64_t>(
-                0, std::max<int64_t>(watermark, 0) - poll_trigger_epoch)));
-          }
-          if (poll_dirty) {
-            poll_dirty = false;
-            DCV_RETURN_IF_ERROR(start_poll());
-          }
-        }
-        break;
-      }
-      case ActorMsgKind::kSiteDone: {
-        out->site_updates[static_cast<size_t>(e.from)] = e.msg.value;
-        ++sites_done;
-        break;
-      }
-      default:
-        return InternalError(std::string("unexpected ") +
-                             std::string(ActorMsgKindName(e.msg.kind)) +
-                             " in free-running mode");
-    }
-  }
-
-  ActorMessage shutdown;
-  shutdown.kind = ActorMsgKind::kShutdown;
-  std::vector<Envelope> shutdowns;
-  shutdowns.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    shutdowns.push_back(Envelope{kCoordinatorId, i, shutdown});
-  }
-  transport->SendBatch(&shutdowns);
-  out->messages = counter_;
-  out->reliability = channel_.stats();
-  for (int64_t u : out->site_updates) {
-    out->total_updates += u;
   }
   return OkStatus();
 }
@@ -262,6 +108,8 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
       config_.chaos, num_epochs,
       config_.chaos.kind == ChaosKind::kKillWorker ? transport->num_workers()
                                                    : k);
+  DCV_RETURN_IF_ERROR(channel_.Init(n, &counter_));
+  channel_.SetObserver(config_.metrics, config_.recorder);
 
   // Legs this thread runs itself: the one shard of a 1-shard run from the
   // start, and any shard whose coordinator thread died (direct attachment:
@@ -296,7 +144,6 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
     ctx.transport = transport;
     ctx.cmds = cmd_boxes[static_cast<size_t>(s)].get();
     ctx.to_root = &root_box;
-    ctx.protocol = config_.protocol;
     ctx.barrier_envelopes = barrier_envelopes_;
     if (config_.chaos.kind == ChaosKind::kKillShard && s == chaos.target) {
       ctx.die_at_epoch = chaos.fire_epoch;
@@ -602,8 +449,7 @@ Status CoordinatorActor::RunVirtual(Transport* transport, int64_t num_epochs,
   return OkStatus();
 }
 
-Status CoordinatorActor::RunFreeSharded(Transport* transport,
-                                        RuntimeResult* out) {
+Status CoordinatorActor::RunFree(Transport* transport, RuntimeResult* out) {
   out->protocol = config_.protocol == RuntimeProtocol::kLocalThreshold
                       ? "local-threshold"
                       : "polling";
@@ -624,7 +470,6 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
   // per-shard leg of every poll round, aggregated down to one partial
   // SUM/MIN/MAX message. The root only routes round lifecycles — O(k)
   // messages per round — and merges the per-shard accounting at exit.
-  const LocalPlan plan{config_.thresholds, config_.domain_max};
   Mailbox<RootMsg> root_box(static_cast<size_t>(4 * k + 16));
   std::vector<std::thread> shards;
   shards.reserve(static_cast<size_t>(k));
@@ -634,13 +479,14 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
     ctx.layout = layout;
     ctx.transport = transport;
     ctx.to_root = &root_box;
-    ctx.plan = SliceForShard(plan, layout, s);
-    ctx.protocol = config_.protocol;
     const int start = layout.ShardStart(s);
     const int size = layout.ShardSize(s);
-    ctx.weights.assign(
-        config_.weights.begin() + start,
-        config_.weights.begin() + start + size);
+    ctx.weights =
+        std::span<const int64_t>(config_.weights).subspan(start, size);
+    if (config_.protocol == RuntimeProtocol::kLocalThreshold) {
+      ctx.domain_max =
+          std::span<const int64_t>(config_.domain_max).subspan(start, size);
+    }
     ctx.faults = SliceFaultSpec(config_.faults, layout, s);
     ctx.metrics = config_.metrics;
     ctx.recorder = config_.recorder;
@@ -786,8 +632,8 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
         if (draining) {
           break;
         }
-        // At most one outstanding global round, exactly like the flat
-        // coordinator: notices during a round collapse into one catch-up.
+        // At most one outstanding global round: notices during a round
+        // collapse into one catch-up round after it resolves.
         if (poll_outstanding) {
           poll_dirty = true;
         } else {
@@ -829,7 +675,7 @@ Status CoordinatorActor::RunFreeSharded(Transport* transport,
         break;
       }
       case RootMsg::Kind::kSiteDone: {
-        // Relayed per site, so a shard death between relays loses nothing:
+        // Relayed per burst, so a shard death between relays loses nothing:
         // the already-relayed sites stay counted and the replacement shard
         // relays the rest from the same inbox.
         for (const auto& [site, updates] : msg.entries) {

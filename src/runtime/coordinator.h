@@ -41,8 +41,9 @@ class CoordinatorActor {
     std::vector<int64_t> weights;  ///< Size num_sites.
     int64_t global_threshold = 0;
     /// Two-level coordinator tree: partition the sites across this many
-    /// shard coordinator threads feeding a root aggregator. 1 (the
-    /// default) runs everything on the coordinator thread. Must satisfy
+    /// shard coordinators feeding a root aggregator. With 1 (the default)
+    /// virtual time runs the one shard leg on the root thread and free
+    /// running runs one shard thread. Must satisfy
     /// 1 <= num_shards <= num_sites, and the transport must be built with
     /// the same shard count.
     int num_shards = 1;
@@ -72,7 +73,7 @@ class CoordinatorActor {
 
   explicit CoordinatorActor(Config config);
 
-  /// Validates the config and initializes the channel. Call before Run*.
+  /// Validates the config, fault spec included. Call before Run*.
   Status Init();
 
   /// Virtual-time mode: drives `num_epochs` epochs in lockstep with the
@@ -87,24 +88,21 @@ class CoordinatorActor {
   Status RunVirtual(Transport* transport, int64_t num_epochs,
                     RuntimeResult* out);
 
-  /// Free-running mode: serves alarms and poll rounds in arrival order
-  /// until every site reports kSiteDone, then shuts the sites down. Epoch
-  /// semantics degrade to a watermark (the highest site-local update index
-  /// seen), so fault windows still engage, but no per-epoch determinism is
-  /// claimed.
+  /// Free-running mode, one shard tree for every shard count: each shard
+  /// thread (shard.h) owns a channel over its site range, serves alarms in
+  /// arrival order and sends the root at most one notice per round; the
+  /// root keeps at most one poll round outstanding, re-polls once if a
+  /// notice arrived mid-round, and merges the shards' stats at shutdown.
+  /// Runs until every site reports kSiteDone, then shuts the sites down.
+  /// Epoch semantics degrade to a watermark (the highest site-local update
+  /// index seen), so fault windows still engage, but no per-epoch
+  /// determinism is claimed.
   Status RunFree(Transport* transport, RuntimeResult* out);
 
-  const MessageCounter& messages() const { return counter_; }
-  const Channel& channel() const { return channel_; }
-
  private:
-  /// Two-level free-running path (num_shards >= 2): each shard owns a
-  /// channel over its slice and the root merges stats at shutdown.
-  Status RunFreeSharded(Transport* transport, RuntimeResult* out);
-
   Config config_;
   MessageCounter counter_;
-  Channel channel_;
+  Channel channel_;  ///< Virtual time only; sized by RunVirtual.
   obs::Counter* alarms_rx_ = nullptr;  ///< "runtime/coordinator/alarms".
   obs::Counter* polls_ = nullptr;      ///< "runtime/coordinator/polls".
   /// Envelopes the virtual-time epoch legs moved (shard.h).

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "runtime/shard_layout.h"
 #include "threshold/solver.h"
 #include "trace/trace.h"
 
@@ -31,16 +30,6 @@ Result<LocalPlan> BuildLocalPlan(const Trace& training,
                                  const ThresholdSolver& solver,
                                  int histogram_buckets = 100,
                                  double domain_headroom = 4.0);
-
-/// The shard-local view of a global plan: thresholds and pessimistic poll
-/// fallbacks for exactly the contiguous site range `shard` owns under
-/// `layout`, indexed by shard-local site (global site - ShardStart). Shard
-/// coordinators are provisioned from slices so threshold distribution and
-/// per-shard poll aggregation never touch another shard's sites. Vectors
-/// shorter than the shard's range (legal for the unconstrained protocols)
-/// slice to their available prefix.
-LocalPlan SliceForShard(const LocalPlan& plan, const ShardLayout& layout,
-                        int shard);
 
 }  // namespace dcv
 

@@ -157,15 +157,18 @@ Result<RuntimeResult> LaunchSocket(int n, int64_t updates_per_site,
   // protocol traffic), and per-connection FIFO means every site installs
   // its threshold before it evaluates anything.
   const bool local = options.protocol == RuntimeProtocol::kLocalThreshold;
+  std::vector<Envelope> sync;
+  sync.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     ActorMessage update;
     update.kind = ActorMsgKind::kThresholdUpdate;
     update.epoch = -1;
     update.value = local ? plan.thresholds[static_cast<size_t>(i)]
                          : std::numeric_limits<int64_t>::max();
-    if (!transport->Send(Envelope{kCoordinatorId, i, update})) {
-      return InternalError("worker connection closed during threshold sync");
-    }
+    sync.push_back(Envelope{kCoordinatorId, i, update});
+  }
+  if (!transport->SendBatch(&sync)) {
+    return InternalError("worker connection closed during threshold sync");
   }
 
   const auto t0 = std::chrono::steady_clock::now();

@@ -40,8 +40,9 @@ struct RuntimeOptions {
   int num_workers = 0;
 
   /// Coordinator-side sharding: partition the sites across this many shard
-  /// coordinator threads feeding a root aggregator (two-level tree). Must
-  /// be in [1, num_sites]; 1 = everything on the coordinator thread.
+  /// coordinators feeding a root aggregator (two-level tree). Must be in
+  /// [1, num_sites]; with 1, virtual time runs the one shard leg on the
+  /// root thread and free running runs one shard thread.
   /// Virtual-time results are bit-identical for every legal value (the
   /// conformance harness asserts shards in {1, 2, 3, 4}).
   int num_shards = 1;

@@ -62,9 +62,8 @@ FaultSpec SliceFaultSpec(const FaultSpec& faults, const ShardLayout& layout,
     }
   }
   // Splitmix64 increment times (shard + 1): distinct, seed-deterministic
-  // streams per shard; shard 0 of a k=1 layout still differs from the flat
-  // coordinator's stream, which is fine — free-running mode claims no
-  // cross-configuration determinism.
+  // streams per shard. Free-running mode claims no cross-configuration
+  // determinism, so a k=1 stream need not equal the unsliced spec's.
   out.seed = faults.seed ^ (0x9e3779b97f4a7c15ULL *
                             static_cast<uint64_t>(shard + 1));
   return out;
@@ -280,6 +279,7 @@ void RunShardFree(ShardContext ctx) {
   int64_t alarms = 0;
   int64_t batches_survived = 0;
   std::vector<Envelope> batch;
+  std::vector<std::pair<int, int64_t>> done_sites;  ///< This burst's.
   bool running = true;
   Status exit_status = OkStatus();
 
@@ -385,11 +385,8 @@ void RunShardFree(ShardContext ctx) {
           }
           poll_values[static_cast<size_t>(e.from - start)] = e.msg.value;
           if (--poll_pending == 0) {
-            PollOutcome poll = channel.PollSites(
-                poll_values, ctx.weights,
-                ctx.protocol == RuntimeProtocol::kLocalThreshold
-                    ? ctx.plan.domain_max
-                    : std::vector<int64_t>{});
+            PollOutcome poll =
+                channel.PollSites(poll_values, ctx.weights, ctx.domain_max);
             poll_outstanding = false;
             RootMsg partial;
             partial.kind = RootMsg::Kind::kPollPartial;
@@ -411,16 +408,7 @@ void RunShardFree(ShardContext ctx) {
           break;
         }
         case ActorMsgKind::kSiteDone: {
-          // Per-site relay (not batched per shard): the root counts sites,
-          // not shards, so its done-tracking survives a shard death and
-          // respawn mid-drain.
-          RootMsg done;
-          done.kind = RootMsg::Kind::kSiteDone;
-          done.shard = ctx.shard;
-          done.entries.emplace_back(e.from, e.msg.value);
-          if (!ctx.to_root->Push(std::move(done))) {
-            running = false;
-          }
+          done_sites.emplace_back(e.from, e.msg.value);
           break;
         }
         default:
@@ -430,6 +418,18 @@ void RunShardFree(ShardContext ctx) {
               " in free-running mode");
           running = false;
           break;
+      }
+    }
+    // One relay per burst, before the next chaos check: the root counts
+    // sites, not shards, so a death between bursts loses no done report.
+    if (!done_sites.empty()) {
+      RootMsg done;
+      done.kind = RootMsg::Kind::kSiteDone;
+      done.shard = ctx.shard;
+      done.entries = std::move(done_sites);
+      done_sites.clear();
+      if (!ctx.to_root->Push(std::move(done))) {
+        running = false;
       }
     }
   }

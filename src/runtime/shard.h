@@ -2,14 +2,13 @@
 #define DCV_RUNTIME_SHARD_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "obs/obs.h"
-#include "runtime/coordinator.h"
 #include "runtime/mailbox.h"
-#include "runtime/plan.h"
 #include "runtime/shard_layout.h"
 #include "runtime/transport.h"
 #include "sim/channel.h"
@@ -40,9 +39,9 @@ namespace dcv {
 /// Free-running mode inverts the split: each shard owns a Channel over its
 /// own site range (fault spec sliced via SliceFaultSpec) and aggregates
 /// its poll leg locally — partial weighted SUM plus MIN/MAX — so the root
-/// combines k partials without ever materializing per-site values. No
-/// per-epoch determinism is claimed in this mode, same as the flat
-/// coordinator.
+/// combines k partials without ever materializing per-site values. A
+/// 1-shard run is the same tree with one shard thread under the root. No
+/// per-epoch determinism is claimed in this mode.
 
 /// Root -> shard command, virtual-time mode only. Travels over an internal
 /// Mailbox (never the transport): epoch commands carry vectors that do not
@@ -81,11 +80,10 @@ struct RootMsg {
     kPollPartial,   ///< Poll leg done. Virtual: values = every site's value.
                     ///< Free: aggregated sum/min/max, no per-site entries.
     kAlarmNotice,   ///< Free: a delivered alarm needs a poll round.
-    kSiteDone,      ///< Free: one owned site reported kSiteDone. Relayed
-                    ///< per site (not batched per shard) so the root's
-                    ///< done-tracking survives a shard death: whatever the
-                    ///< dead shard already relayed stays counted, and the
-                    ///< replacement relays the rest.
+    kSiteDone,      ///< Free: the owned sites that reported kSiteDone in
+                    ///< one drained inbox burst. A chaos'd shard dies only
+                    ///< between bursts, so whatever it relayed stays
+                    ///< counted and the replacement relays the rest.
     kHeartbeat,     ///< Free: reply to the root's kPing liveness probe.
     kShardExit,     ///< Free: shard exiting; final per-shard accounting.
     kError,         ///< Shard hit a protocol/transport error; see status.
@@ -93,9 +91,9 @@ struct RootMsg {
   Kind kind = Kind::kEpochPartial;
   int shard = 0;
   int64_t epoch = 0;
-  /// (global site, value) pairs in ascending site order. kEpochPartial:
-  /// alarmed sites and their observed values. kSiteDone: the one site's
-  /// update count.
+  /// (global site, value) pairs. kEpochPartial: alarmed sites and their
+  /// observed values, in ascending site order. kSiteDone: each done site's
+  /// update count, in arrival order.
   std::vector<std::pair<int, int64_t>> entries;
   /// kPollPartial, virtual-time mode: every owned site's response in site
   /// order, starting at the shard's first site.
@@ -121,13 +119,12 @@ struct ShardContext {
   Transport* transport = nullptr;
   Mailbox<ShardCmd>* cmds = nullptr;  ///< Virtual mode only.
   Mailbox<RootMsg>* to_root = nullptr;
-  /// Free mode: shard-local plan slice (SliceForShard); domain_max is the
-  /// pessimistic poll fallback.
-  LocalPlan plan;
-  RuntimeProtocol protocol = RuntimeProtocol::kLocalThreshold;
-  // Free-running mode only.
-  std::vector<int64_t> weights;  ///< Shard-local slice.
-  FaultSpec faults;              ///< Sliced via SliceFaultSpec.
+  // Free-running mode only. The spans view the root's config over the
+  // shard's range, indexed by shard-local site.
+  std::span<const int64_t> weights;
+  /// Pessimistic poll fallbacks; empty for the polling protocol.
+  std::span<const int64_t> domain_max;
+  FaultSpec faults;  ///< Sliced via SliceFaultSpec.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* recorder = nullptr;
   obs::Counter* alarms_rx = nullptr;  ///< Shared "runtime/coordinator/alarms".
@@ -185,7 +182,8 @@ void ShardShutdownLeg(Transport* transport, const ShardLayout& layout,
 
 /// Body of one shard coordinator thread, free-running mode: drain the
 /// shard's transport inbox (alarms, poll responses, site-done, and the
-/// root's envelope-borne commands) until the root's kShutdown.
+/// root's envelope-borne commands) until the root's kShutdown. Site-done
+/// reports go to the root as one kSiteDone per drained burst.
 void RunShardFree(ShardContext ctx);
 
 /// Remaps a global fault spec onto one shard's contiguous site range:

@@ -715,7 +715,6 @@ void SocketTransport::RetireFd(int fd) {
 
 void SocketTransport::WriterLoop(size_t index) {
   Connection& c = *conns_[index];
-  std::string buf;
   std::string frame;
   std::vector<Envelope> batch;
   Envelope e;
@@ -732,14 +731,12 @@ void SocketTransport::WriterLoop(size_t index) {
     }
     bool wrote = false;
     uint32_t gen = 0;
-    int64_t wire_frames = 0;
     {
       std::lock_guard<std::mutex> wl(c.write_mu);
       {
         std::lock_guard<std::mutex> lock(c.mu);
         gen = c.generation;  // Incarnation this write lands on.
       }
-      buf.clear();
       // A multi-envelope burst becomes ONE kEnvelopeBatch frame under one
       // sequence number; the whole frame is one sent-ring entry, so resume
       // replay and the peer's high-water-mark dedup treat the burst
@@ -752,30 +749,33 @@ void SocketTransport::WriterLoop(size_t index) {
         AppendEnvelopeBatchFrame(batch.data(), batch.size(), &frame,
                                  c.next_send_seq);
       }
-      c.sent_ring.emplace_back(c.next_send_seq, frame);
-      while (c.sent_ring.size() > options_.replay_capacity) {
-        c.sent_ring.pop_front();
+      if (options_.allow_reconnect) {
+        // Only a resume reads the ring; without reconnection a copy of
+        // every frame would be pure waste.
+        c.sent_ring.emplace_back(c.next_send_seq, frame);
+        while (c.sent_ring.size() > options_.replay_capacity) {
+          c.sent_ring.pop_front();
+        }
       }
       ++c.next_send_seq;
-      buf += frame;
-      wire_frames = 1;
-      wrote = c.fd >= 0 && WriteAll(c.fd, buf.data(), buf.size());
+      wrote = c.fd >= 0 && WriteAll(c.fd, frame.data(), frame.size());
       if (wrote) {
-        frames_sent_.fetch_add(wire_frames, std::memory_order_relaxed);
+        frames_sent_.fetch_add(1, std::memory_order_relaxed);
         envelopes_sent_.fetch_add(static_cast<int64_t>(batch.size()),
                                   std::memory_order_relaxed);
         DCV_OBS_COUNT(c_envelopes_tx_, static_cast<int64_t>(batch.size()));
-        bytes_sent_.fetch_add(static_cast<int64_t>(buf.size()),
+        bytes_sent_.fetch_add(static_cast<int64_t>(frame.size()),
                               std::memory_order_relaxed);
-        DCV_OBS_COUNT(c_frames_tx_, wire_frames);
-        DCV_OBS_COUNT(c_bytes_tx_, static_cast<int64_t>(buf.size()));
+        DCV_OBS_COUNT(c_frames_tx_, 1);
+        DCV_OBS_COUNT(c_bytes_tx_, static_cast<int64_t>(frame.size()));
       }
     }
     if (wrote) {
       continue;
     }
-    // Write failed. The frames are already in the sent ring, so a resume
-    // replays them — park for the new incarnation instead of giving up.
+    // Write failed. With reconnection on the frames are already in the
+    // sent ring, so a resume replays them — park for the new incarnation
+    // instead of giving up.
     if (!shutting_down_.load(std::memory_order_relaxed)) {
       disconnects_.fetch_add(1, std::memory_order_relaxed);
       DCV_OBS_COUNT(c_disconnects_, 1);
@@ -1049,19 +1049,6 @@ void SocketTransport::AcceptorLoop() {
   }
 }
 
-bool SocketTransport::Send(const Envelope& e) {
-  if (role_ == Role::kCoordinator) {
-    if (e.to < 0 || e.to >= num_sites_) {
-      return false;
-    }
-    return conns_[static_cast<size_t>(WorkerOf(e.to))]->send_box->Push(e);
-  }
-  if (e.to != kCoordinatorId) {
-    return false;
-  }
-  return conns_[0]->send_box->Push(e);
-}
-
 bool SocketTransport::SendBatch(std::vector<Envelope>* batch) {
   // Route everything before delivering anything, so an unroutable envelope
   // rejects the batch whole.
@@ -1151,18 +1138,6 @@ bool SocketTransport::TrySendToShard(int shard, const Envelope& e) {
   return inboxes_[static_cast<size_t>(shard)]->TryPush(e) == MailboxPush::kOk;
 }
 
-bool SocketTransport::RecvShard(int shard, Envelope* out) {
-  return role_ == Role::kCoordinator && shard >= 0 &&
-         shard < static_cast<int>(inboxes_.size()) &&
-         inboxes_[static_cast<size_t>(shard)]->Pop(out);
-}
-
-bool SocketTransport::TryRecvShard(int shard, Envelope* out) {
-  return role_ == Role::kCoordinator && shard >= 0 &&
-         shard < static_cast<int>(inboxes_.size()) &&
-         inboxes_[static_cast<size_t>(shard)]->TryPop(out);
-}
-
 size_t SocketTransport::RecvShardAll(int shard, std::vector<Envelope>* out) {
   if (role_ != Role::kCoordinator || shard < 0 ||
       shard >= static_cast<int>(inboxes_.size())) {
@@ -1171,26 +1146,8 @@ size_t SocketTransport::RecvShardAll(int shard, std::vector<Envelope>* out) {
   return inboxes_[static_cast<size_t>(shard)]->PopAll(out);
 }
 
-size_t SocketTransport::RecvShardAllFor(int shard, std::vector<Envelope>* out,
-                                        int64_t timeout_ms, bool* timed_out) {
-  if (role_ != Role::kCoordinator || shard < 0 ||
-      shard >= static_cast<int>(inboxes_.size())) {
-    if (timed_out != nullptr) {
-      *timed_out = false;
-    }
-    return 0;
-  }
-  return inboxes_[static_cast<size_t>(shard)]->PopAllFor(out, timeout_ms,
-                                                         timed_out);
-}
-
 bool SocketTransport::RecvWorker(int worker, Envelope* out) {
   return role_ == Role::kWorker && worker == worker_ && inboxes_[0]->Pop(out);
-}
-
-bool SocketTransport::TryRecvWorker(int worker, Envelope* out) {
-  return role_ == Role::kWorker && worker == worker_ &&
-         inboxes_[0]->TryPop(out);
 }
 
 size_t SocketTransport::RecvWorkerAll(int worker, std::vector<Envelope>* out) {

@@ -27,7 +27,7 @@ namespace dcv {
 ///
 /// Backpressure mirrors ThreadTransport: every connection owns a bounded
 /// send-queue Mailbox with the same capacity formula as the in-process
-/// inboxes, so Send blocks when the peer falls behind (the TCP socket adds
+/// inboxes, so SendBatch blocks when the peer falls behind (the TCP socket adds
 /// kernel-buffer slack but never unbounded memory). A writer thread drains
 /// each send queue onto the socket; a reader thread decodes frames into
 /// the owner's inbox.
@@ -47,7 +47,8 @@ namespace dcv {
 /// Mid-run reconnection (Options::allow_reconnect): a lost connection
 /// parks this side instead of closing the inboxes. Every envelope frame
 /// carries a per-direction sequence number and each writer retains a
-/// bounded ring of sent frames; a returning worker handshakes with a
+/// bounded ring of sent frames (only with reconnection on — nothing else
+/// reads it); a returning worker handshakes with a
 /// bumped Hello generation (stale connections are fenced off) and each
 /// side replays exactly the suffix the peer missed, deduplicating replays
 /// by sequence number. The coordinator keeps an acceptor thread running so
@@ -82,7 +83,8 @@ class SocketTransport : public Transport {
     int reconnect_grace_ms = 100;    ///< Worker delay before redialing, so a
                                      ///< graceful shutdown is not mistaken
                                      ///< for a crash.
-    size_t replay_capacity = 4096;   ///< Sent-frame ring per connection.
+    size_t replay_capacity = 4096;   ///< Sent-frame ring per connection
+                                     ///< (kept only with allow_reconnect).
 
     obs::MetricsRegistry* metrics = nullptr;
     /// Optional distributed-trace sink: reconnect/replay lifecycle events
@@ -155,19 +157,13 @@ class SocketTransport : public Transport {
   int WorkerOf(int site) const override { return site % num_workers_; }
   int num_shards() const override { return current()->num_shards; }
   int ShardOf(int site) const override { return current()->ShardOf(site); }
-  bool Send(const Envelope& e) override;
   bool SendBatch(std::vector<Envelope>* batch) override;
   size_t TrySendBatch(const std::vector<Envelope>& batch, size_t begin,
                       bool* closed = nullptr) override;
   bool SendToShard(int shard, const Envelope& e) override;
   bool TrySendToShard(int shard, const Envelope& e) override;
-  bool RecvShard(int shard, Envelope* out) override;
-  bool TryRecvShard(int shard, Envelope* out) override;
   size_t RecvShardAll(int shard, std::vector<Envelope>* out) override;
-  size_t RecvShardAllFor(int shard, std::vector<Envelope>* out,
-                         int64_t timeout_ms, bool* timed_out) override;
   bool RecvWorker(int worker, Envelope* out) override;
-  bool TryRecvWorker(int worker, Envelope* out) override;
   size_t RecvWorkerAll(int worker, std::vector<Envelope>* out) override;
   size_t TryRecvWorkerAll(int worker, std::vector<Envelope>* out) override;
   void Shutdown() override;

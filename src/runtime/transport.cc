@@ -119,11 +119,6 @@ Mailbox<Envelope>* ThreadTransport::BoxFor(const Envelope& e,
   return worker_boxes_[static_cast<size_t>(WorkerOf(e.to))].get();
 }
 
-bool ThreadTransport::Send(const Envelope& e) {
-  Mailbox<Envelope>* box = BoxFor(e, *current());
-  return box != nullptr && box->Push(e);
-}
-
 bool ThreadTransport::SendBatch(std::vector<Envelope>* batch) {
   // Route everything before delivering anything, so an unroutable envelope
   // rejects the batch whole. One layout snapshot serves both passes.
@@ -219,22 +214,8 @@ bool ThreadTransport::TrySendToShard(int shard, const Envelope& e) {
          MailboxPush::kOk;
 }
 
-bool ThreadTransport::RecvShard(int shard, Envelope* out) {
-  return shard_boxes_[static_cast<size_t>(shard)]->Pop(out);
-}
-
-bool ThreadTransport::TryRecvShard(int shard, Envelope* out) {
-  return shard_boxes_[static_cast<size_t>(shard)]->TryPop(out);
-}
-
 size_t ThreadTransport::RecvShardAll(int shard, std::vector<Envelope>* out) {
   return shard_boxes_[static_cast<size_t>(shard)]->PopAll(out);
-}
-
-size_t ThreadTransport::RecvShardAllFor(int shard, std::vector<Envelope>* out,
-                                        int64_t timeout_ms, bool* timed_out) {
-  return shard_boxes_[static_cast<size_t>(shard)]->PopAllFor(out, timeout_ms,
-                                                             timed_out);
 }
 
 Status ThreadTransport::UpdateLayout(const ShardLayout& next) {
@@ -256,10 +237,6 @@ Status ThreadTransport::UpdateLayout(const ShardLayout& next) {
 
 bool ThreadTransport::RecvWorker(int worker, Envelope* out) {
   return worker_boxes_[static_cast<size_t>(worker)]->Pop(out);
-}
-
-bool ThreadTransport::TryRecvWorker(int worker, Envelope* out) {
-  return worker_boxes_[static_cast<size_t>(worker)]->TryPop(out);
 }
 
 size_t ThreadTransport::RecvWorkerAll(int worker, std::vector<Envelope>* out) {

@@ -14,12 +14,13 @@
 namespace dcv {
 
 /// Message fabric between the coordinator tree and the site workers. The
-/// interface is deliberately socket-shaped — opaque routed envelopes, a
-/// blocking receive per endpoint, an explicit shutdown — so a future
-/// `SocketTransport` (TCP, one connection per worker) can slot in without
-/// touching the actors. The first implementation is in-process
-/// (`ThreadTransport` below): one bounded Mailbox per worker thread plus
-/// one per shard coordinator.
+/// interface is socket-shaped — opaque routed envelopes, a blocking batch
+/// receive per endpoint, an explicit shutdown — and batch-only on the data
+/// plane: every send is a SendBatch (a lone envelope is a 1-element batch)
+/// and every receive drains a whole burst. Two implementations:
+/// `ThreadTransport` below (in-process, one bounded Mailbox per worker
+/// thread plus one per shard coordinator) and `SocketTransport` (TCP, one
+/// connection per worker process).
 ///
 /// Sites are multiplexed onto workers: `WorkerOf(site)` names the worker
 /// inbox a site-addressed envelope lands in. With num_workers == num_sites
@@ -29,8 +30,7 @@ namespace dcv {
 /// Coordinator-bound traffic is fanned across `num_shards` shard inboxes:
 /// a site-to-coordinator envelope lands in shard `ShardOf(e.from)`'s inbox
 /// (contiguous balanced ranges; see shard_layout.h). With num_shards == 1
-/// — the default — there is a single coordinator inbox and
-/// RecvCoordinator behaves exactly as before the coordinator tree existed.
+/// — the default — shard 0's inbox is the whole coordinator inbox.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -42,17 +42,13 @@ class Transport {
   virtual int num_shards() const = 0;
   virtual int ShardOf(int site) const = 0;
 
-  /// Routes by e.to; blocks when the destination inbox is full
-  /// (backpressure). Returns false iff the destination is closed.
-  /// Coordinator-bound envelopes (e.to == kCoordinatorId) land in shard
-  /// ShardOf(e.from)'s inbox.
-  virtual bool Send(const Envelope& e) = 0;
-
-  /// Batched Send: routes every envelope exactly as Send would (per-
-  /// destination FIFO order preserved — envelopes to the same inbox land in
-  /// batch order), but implementations amortize locking/framing across the
-  /// batch: the thread transport hands the batch to its destination mailbox
-  /// whole (Mailbox::PushAll), the socket transport moves it into the
+  /// Routes every envelope by e.to: site-addressed envelopes to worker
+  /// WorkerOf(e.to), coordinator-bound ones (e.to == kCoordinatorId) to
+  /// shard ShardOf(e.from). Per-destination FIFO order is preserved
+  /// (envelopes to the same inbox land in batch order), and
+  /// implementations amortize locking/framing across the batch: the thread
+  /// transport hands the batch to its destination mailbox whole
+  /// (Mailbox::PushAll), the socket transport moves it into the
   /// connection's send box, whose writer coalesces each burst into one
   /// kEnvelopeBatch wire frame.
   ///
@@ -61,10 +57,10 @@ class Transport {
   /// recycled buffer, so a caller that refills the same vector every epoch
   /// allocates nothing in steady state.
   ///
-  /// Blocks on full inboxes like Send. Returns false iff an envelope was
-  /// unroutable — checked up front, so nothing was delivered — or a
-  /// destination was closed, in which case a prefix may have been
-  /// delivered, exactly as a loop of Sends interrupted mid-way.
+  /// Blocks when a destination inbox is full (backpressure). Returns false
+  /// iff an envelope was unroutable — checked up front, so nothing was
+  /// delivered — or a destination was closed, in which case a prefix may
+  /// have been delivered.
   virtual bool SendBatch(std::vector<Envelope>* batch) = 0;
 
   /// Non-blocking SendBatch: consumes the longest routable prefix of
@@ -76,22 +72,8 @@ class Transport {
   /// inbox. When the stop reason is permanent — destination closed or
   /// envelope unroutable — `*closed` (if non-null) is set so the caller
   /// stops retrying a dead fabric; a plain full inbox leaves it false.
-  /// Base transports without a non-blocking path may block (they fall back
-  /// to Send); the thread and socket transports override this.
   virtual size_t TrySendBatch(const std::vector<Envelope>& batch, size_t begin,
-                              bool* closed = nullptr) {
-    size_t sent = 0;
-    while (begin + sent < batch.size()) {
-      if (!Send(batch[begin + sent])) {
-        if (closed != nullptr) {
-          *closed = true;
-        }
-        break;
-      }
-      ++sent;
-    }
-    return sent;
-  }
+                              bool* closed = nullptr) = 0;
 
   /// Injects a root-aggregator command (poll kick, shutdown) directly into
   /// a shard coordinator's inbox, bypassing site routing. Local to the
@@ -108,57 +90,25 @@ class Transport {
   /// machinery) forever.
   virtual bool TrySendToShard(int shard, const Envelope& e) = 0;
 
-  /// Blocking receive on one shard coordinator inbox; false = closed and
-  /// drained.
-  virtual bool RecvShard(int shard, Envelope* out) = 0;
-  virtual bool TryRecvShard(int shard, Envelope* out) = 0;
-
   /// Batch drain of one shard inbox (Mailbox::PopAll): blocks for the
   /// first message, then moves every queued message under one lock.
   /// Appends to `out`; 0 = closed and drained.
   virtual size_t RecvShardAll(int shard, std::vector<Envelope>* out) = 0;
 
-  /// RecvShardAll with a deadline: waits at most `timeout_ms` for the first
-  /// message. 0 with `*timed_out = true` means the deadline expired (the
-  /// root's cue to probe for dead shard coordinators); 0 with `*timed_out =
-  /// false` means closed and drained.
-  virtual size_t RecvShardAllFor(int shard, std::vector<Envelope>* out,
-                                 int64_t timeout_ms, bool* timed_out) = 0;
-
-  /// Blocking receive on a worker inbox; false = closed and drained.
+  /// Blocking receive of ONE envelope from a worker inbox; false = closed
+  /// and drained. For a reader that must leave what follows queued — the
+  /// socket site worker's initial threshold sync, after which the engine
+  /// drains the inbox itself.
   virtual bool RecvWorker(int worker, Envelope* out) = 0;
-  virtual bool TryRecvWorker(int worker, Envelope* out) = 0;
 
   /// Batch drain of a worker inbox — the worker-side mirror of
   /// RecvShardAll: blocks for the first message, then moves every queued
-  /// message. Appends to `out`; 0 = closed and drained. The default
-  /// composes RecvWorker + TryRecvWorker; mailbox-backed transports
-  /// override with Mailbox::PopAll (one lock per burst).
-  virtual size_t RecvWorkerAll(int worker, std::vector<Envelope>* out) {
-    Envelope e;
-    if (!RecvWorker(worker, &e)) {
-      return 0;
-    }
-    out->push_back(e);
-    size_t moved = 1;
-    while (TryRecvWorker(worker, &e)) {
-      out->push_back(e);
-      ++moved;
-    }
-    return moved;
-  }
+  /// message under one lock. Appends to `out`; 0 = closed and drained.
+  virtual size_t RecvWorkerAll(int worker, std::vector<Envelope>* out) = 0;
 
   /// Non-blocking batch drain of a worker inbox; 0 = nothing immediately
   /// available (says nothing about the box being closed).
-  virtual size_t TryRecvWorkerAll(int worker, std::vector<Envelope>* out) {
-    Envelope e;
-    size_t moved = 0;
-    while (TryRecvWorker(worker, &e)) {
-      out->push_back(e);
-      ++moved;
-    }
-    return moved;
-  }
+  virtual size_t TryRecvWorkerAll(int worker, std::vector<Envelope>* out) = 0;
 
   /// Closes every inbox (receivers drain, then their Recv returns false).
   virtual void Shutdown() = 0;
@@ -187,12 +137,6 @@ class Transport {
     (void)worker;
     return UnimplementedError("transport has no severable worker links");
   }
-
-  /// Unsharded receive, kept for the num_shards == 1 paths (the flat
-  /// coordinator and every pre-sharding caller): shard 0 IS the
-  /// coordinator inbox when there is only one shard.
-  bool RecvCoordinator(Envelope* out) { return RecvShard(0, out); }
-  bool TryRecvCoordinator(Envelope* out) { return TryRecvShard(0, out); }
 };
 
 /// In-process transport over bounded mailboxes, one per worker plus one per
@@ -222,19 +166,13 @@ class ThreadTransport : public Transport {
   int num_shards() const override { return current()->num_shards; }
   int ShardOf(int site) const override { return current()->ShardOf(site); }
 
-  bool Send(const Envelope& e) override;
   bool SendBatch(std::vector<Envelope>* batch) override;
   size_t TrySendBatch(const std::vector<Envelope>& batch, size_t begin,
                       bool* closed = nullptr) override;
   bool SendToShard(int shard, const Envelope& e) override;
   bool TrySendToShard(int shard, const Envelope& e) override;
-  bool RecvShard(int shard, Envelope* out) override;
-  bool TryRecvShard(int shard, Envelope* out) override;
   size_t RecvShardAll(int shard, std::vector<Envelope>* out) override;
-  size_t RecvShardAllFor(int shard, std::vector<Envelope>* out,
-                         int64_t timeout_ms, bool* timed_out) override;
   bool RecvWorker(int worker, Envelope* out) override;
-  bool TryRecvWorker(int worker, Envelope* out) override;
   size_t RecvWorkerAll(int worker, std::vector<Envelope>* out) override;
   size_t TryRecvWorkerAll(int worker, std::vector<Envelope>* out) override;
   void Shutdown() override;

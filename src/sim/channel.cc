@@ -402,8 +402,8 @@ void Channel::RecordLastKnown(int site, int64_t value) {
 }
 
 PollOutcome Channel::PollSites(const std::vector<int64_t>& true_values,
-                               const std::vector<int64_t>& weights,
-                               const std::vector<int64_t>& pessimistic) {
+                               std::span<const int64_t> weights,
+                               std::span<const int64_t> pessimistic) {
   DCV_OBS_EVENT(recorder_, obs::TraceEventKind::kPollStart, epoch_);
   obs::ScopedTimer poll_timer(
       metrics_ != nullptr ? metrics_->histogram("channel/poll_us") : nullptr);

@@ -2,6 +2,7 @@
 #define DCV_SIM_CHANNEL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -220,8 +221,8 @@ class Channel {
   /// vector for schemes with no pessimistic bound; 0 is then the final
   /// fallback). Successful responses update the last-known table.
   PollOutcome PollSites(const std::vector<int64_t>& true_values,
-                        const std::vector<int64_t>& weights,
-                        const std::vector<int64_t>& pessimistic);
+                        std::span<const int64_t> weights,
+                        std::span<const int64_t> pessimistic);
 
   /// Records a value the coordinator learned out of band (e.g. from a
   /// piggybacked alarm), improving kLastKnown degradation.

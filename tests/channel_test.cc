@@ -70,7 +70,8 @@ TEST(ChannelTest, PerfectChannelChargesExactly) {
   EXPECT_EQ(counter.of(MessageType::kAlarm), 1);
   EXPECT_EQ(counter.of(MessageType::kAck), 0);  // Acks are off by default.
 
-  PollOutcome poll = ch.PollSites({1, 2, 3}, {1, 1, 1}, {});
+  PollOutcome poll =
+      ch.PollSites({1, 2, 3}, std::vector<int64_t>{1, 1, 1}, {});
   EXPECT_EQ(counter.of(MessageType::kPollRequest), 3);
   EXPECT_EQ(counter.of(MessageType::kPollResponse), 3);
   EXPECT_EQ(poll.weighted_sum, 6);
@@ -215,7 +216,8 @@ TEST(ChannelTest, PollDegradesToLastKnownValue) {
   MessageCounter counter;
   Channel ch = MakeChannel(spec, 2, &counter);
   ch.RecordLastKnown(1, 77);
-  PollOutcome poll = ch.PollSites({5, 9}, {1, 1}, {100, 100});
+  PollOutcome poll = ch.PollSites({5, 9}, std::vector<int64_t>{1, 1},
+                                 std::vector<int64_t>{100, 100});
   EXPECT_EQ(poll.values[0], 5);    // Responded with the truth.
   EXPECT_EQ(poll.values[1], 77);   // Crashed: last-known substitute.
   EXPECT_EQ(poll.weighted_sum, 82);
@@ -232,7 +234,8 @@ TEST(ChannelTest, PollDegradesToPessimisticValue) {
   MessageCounter counter;
   Channel ch = MakeChannel(spec, 2, &counter);
   ch.RecordLastKnown(1, 77);  // Ignored under assume-breach.
-  PollOutcome poll = ch.PollSites({5, 9}, {1, 1}, {100, 100});
+  PollOutcome poll = ch.PollSites({5, 9}, std::vector<int64_t>{1, 1},
+                                 std::vector<int64_t>{100, 100});
   EXPECT_EQ(poll.values[1], 100);
   EXPECT_EQ(poll.weighted_sum, 105);
 
@@ -240,7 +243,8 @@ TEST(ChannelTest, PollDegradesToPessimisticValue) {
   Channel bare(spec);
   MessageCounter counter2;
   ASSERT_TRUE(bare.Init(2, &counter2).ok());
-  PollOutcome poll2 = bare.PollSites({5, 9}, {1, 1}, {});
+  PollOutcome poll2 =
+      bare.PollSites({5, 9}, std::vector<int64_t>{1, 1}, {});
   EXPECT_EQ(poll2.values[1], 0);
 }
 
@@ -263,7 +267,8 @@ TEST(ChannelTest, IdenticalSpecAndSeedGiveIdenticalRuns) {
       for (int i = 0; i < 4; ++i) {
         ch.SendFromSite(i, MessageType::kAlarm, /*reliable=*/true, t + i);
       }
-      ch.PollSites({t, t + 1, t + 2, t + 3}, {1, 2, 3, 4}, {9, 9, 9, 9});
+      ch.PollSites({t, t + 1, t + 2, t + 3}, std::vector<int64_t>{1, 2, 3, 4},
+                   std::vector<int64_t>{9, 9, 9, 9});
       ch.SendToSite(0, MessageType::kThresholdUpdate, /*reliable=*/true);
     }
     *stats = ch.stats();

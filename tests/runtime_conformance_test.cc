@@ -4,11 +4,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
 #include "runtime/plan.h"
 #include "runtime/runtime.h"
+#include "runtime/site_worker.h"
 #include "sim/local_scheme.h"
 #include "threshold/fptas.h"
 #include "threshold/heuristics.h"
@@ -329,19 +334,60 @@ TEST(ShardedConformanceTest, SocketTransportUnderFaultsShards3) {
   ExpectConformant(w, spec);
 }
 
-// Free-running sharded mode has no determinism claim, but it must drain the
-// whole workload and account for every update exactly once.
+// Runs a free-running synthetic workload. Over the socket transport two
+// in-process site workers connect as separate worker processes would.
+Result<RuntimeResult> RunFreeSynthetic(RuntimeOptions options, int sites,
+                                       int64_t updates, bool socket) {
+  options.virtual_time = false;
+  std::vector<std::thread> workers;
+  if (socket) {
+    options.transport = TransportKind::kSocket;
+    options.listen_port = 0;
+    options.num_workers = 2;
+    const uint64_t seed = options.seed;
+    const int64_t synthetic_max = options.synthetic_max;
+    options.on_listening = [&workers, sites, updates, seed,
+                            synthetic_max](int port) {
+      for (int w = 0; w < 2; ++w) {
+        workers.emplace_back([=] {
+          SiteWorkerOptions wo;
+          wo.port = port;
+          wo.worker = w;
+          wo.num_workers = 2;
+          wo.num_sites = sites;
+          wo.synthetic_updates = updates;
+          wo.seed = seed;
+          wo.synthetic_max = synthetic_max;
+          auto report = RunSiteWorker(nullptr, wo);
+          EXPECT_TRUE(report.ok()) << report.status().message();
+        });
+      }
+    };
+  }
+  auto result = RunSyntheticRuntime(sites, updates, options);
+  for (std::thread& t : workers) {
+    t.join();
+  }
+  return result;
+}
+
+// Free-running mode has no determinism claim, but it must drain the whole
+// workload and account for every update exactly once — for every shard
+// count, over threads and over sockets.
 TEST(ShardedRuntimeFreeTest, DrainsFullWorkloadAcrossShardCounts) {
-  for (int shards : {1, 2, 3}) {
+  const std::pair<bool, int> runs[] = {
+      {false, 1}, {false, 2}, {false, 3}, {true, 1}, {true, 2}};
+  for (const auto& [socket, shards] : runs) {
+    SCOPED_TRACE(std::string(socket ? "socket" : "thread") +
+                 " shards=" + std::to_string(shards));
     RuntimeOptions options;
-    options.virtual_time = false;
     options.num_shards = shards;
     options.seed = 9;
     options.synthetic_max = 1000;
     options.global_threshold = 7 * 1000;
     options.thresholds.assign(7, 900);  // Alarm-heavy.
     options.domain_max.assign(7, 1000);
-    auto result = RunSyntheticRuntime(7, 500, options);
+    auto result = RunFreeSynthetic(options, 7, 500, socket);
     ASSERT_TRUE(result.ok()) << result.status().message();
     EXPECT_EQ(result->total_updates, 7 * 500);
     ASSERT_EQ(result->site_updates.size(), 7u);
@@ -351,6 +397,69 @@ TEST(ShardedRuntimeFreeTest, DrainsFullWorkloadAcrossShardCounts) {
     EXPECT_GT(result->total_alarms, 0);
     EXPECT_GT(result->polled_epochs, 0);
   }
+}
+
+// Site-done reports reach the root as one relay per drained shard-inbox
+// burst; at 100k sites every one of them must still land on its own site.
+TEST(ShardedRuntimeFreeTest, QuietHundredThousandSitesReportEveryUpdate) {
+  constexpr int kSites = 100'000;
+  constexpr int64_t kUpdates = 10;
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeOptions options;
+    options.num_shards = shards;
+    options.num_workers = 2;
+    options.seed = 5;
+    // No thresholds: synthetic sites run unconstrained and never alarm.
+    auto result = RunFreeSynthetic(options, kSites, kUpdates, false);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    ASSERT_EQ(result->site_updates.size(), static_cast<size_t>(kSites));
+    for (int i = 0; i < kSites; ++i) {
+      ASSERT_EQ(result->site_updates[static_cast<size_t>(i)], kUpdates)
+          << "site " << i;
+    }
+    EXPECT_EQ(result->total_updates, kSites * kUpdates);
+    EXPECT_EQ(result->total_alarms, 0);
+    EXPECT_EQ(result->polled_epochs, 0);
+  }
+}
+
+// One free-running tree for every shard count: a 1-shard run registers
+// the same coordinator metrics as a 3-shard run, poll_min/poll_max
+// included.
+TEST(ShardedRuntimeFreeTest, CoordinatorMetricNamesMatchAcrossShardCounts) {
+  auto coordinator_names = [](int shards) {
+    obs::MetricsRegistry registry;
+    RuntimeOptions options;
+    options.num_shards = shards;
+    options.seed = 9;
+    options.synthetic_max = 1000;
+    options.global_threshold = 6 * 1000;
+    options.thresholds.assign(6, 900);
+    options.domain_max.assign(6, 1000);
+    options.metrics = &registry;
+    auto result = RunFreeSynthetic(options, 6, 400, false);
+    EXPECT_TRUE(result.ok()) << result.status().message();
+    std::set<std::string> names;
+    const std::string prefix = "runtime/coordinator/";
+    auto collect = [&](const auto& metrics) {
+      for (const auto& entry : metrics) {
+        if (entry.first.rfind(prefix, 0) == 0) {
+          names.insert(entry.first);
+        }
+      }
+    };
+    if (result.ok()) {
+      collect(result->metrics.counters);
+      collect(result->metrics.gauges);
+      collect(result->metrics.histograms);
+    }
+    return names;
+  };
+  const std::set<std::string> one = coordinator_names(1);
+  EXPECT_EQ(one, coordinator_names(3));
+  EXPECT_TRUE(one.count("runtime/coordinator/poll_min"));
+  EXPECT_TRUE(one.count("runtime/coordinator/poll_max"));
 }
 
 // The runtime rejects shard counts outside [1, num_sites] up front.
@@ -522,7 +631,7 @@ TEST(ChaosRuntimeFreeTest, KillShardFreeRunningLosesNothing) {
 }
 
 // Chaos needs a detectable configuration: kill-shard without a heartbeat
-// window or with a flat coordinator is rejected up front.
+// window or with a single shard is rejected up front.
 TEST(ChaosRuntimeTest, RejectsUndetectableChaosConfigs) {
   RuntimeOptions options;
   options.virtual_time = false;

@@ -15,6 +15,12 @@ namespace {
 
 // --- Transport ------------------------------------------------------------
 
+/// A lone envelope is a 1-element batch.
+bool SendOne(Transport& t, const Envelope& e) {
+  std::vector<Envelope> batch = {e};
+  return t.SendBatch(&batch);
+}
+
 TEST(ThreadTransportTest, ValidatesShape) {
   EXPECT_FALSE(ThreadTransport::Create(0, 1).ok());
   EXPECT_FALSE(ThreadTransport::Create(4, 0).ok());
@@ -41,16 +47,17 @@ TEST(ThreadTransportTest, ShardsRouteCoordinatorTrafficBySender) {
 
   ActorMessage msg;
   msg.kind = ActorMsgKind::kEpochReport;
-  ASSERT_TRUE(t.Send(Envelope{4, kCoordinatorId, msg}));
-  ASSERT_TRUE(t.Send(Envelope{0, kCoordinatorId, msg}));
+  ASSERT_TRUE(SendOne(t, Envelope{4, kCoordinatorId, msg}));
+  ASSERT_TRUE(SendOne(t, Envelope{0, kCoordinatorId, msg}));
 
-  Envelope e;
-  // Site 4's report lands in shard 1's inbox, site 0's in shard 0's.
-  ASSERT_TRUE(t.TryRecvShard(1, &e));
-  EXPECT_EQ(e.from, 4);
-  EXPECT_FALSE(t.TryRecvShard(1, &e));
-  ASSERT_TRUE(t.TryRecvShard(0, &e));
-  EXPECT_EQ(e.from, 0);
+  // Site 4's report lands in shard 1's inbox (and only it), site 0's in
+  // shard 0's.
+  std::vector<Envelope> got;
+  ASSERT_EQ(t.RecvShardAll(1, &got), 1u);
+  EXPECT_EQ(got[0].from, 4);
+  got.clear();
+  ASSERT_EQ(t.RecvShardAll(0, &got), 1u);
+  EXPECT_EQ(got[0].from, 0);
 }
 
 TEST(ThreadTransportTest, SendToShardAndBatchDrain) {
@@ -62,11 +69,11 @@ TEST(ThreadTransportTest, SendToShardAndBatchDrain) {
   // traffic; RecvShardAll drains the whole backlog in arrival order.
   ActorMessage report;
   report.kind = ActorMsgKind::kEpochReport;
-  ASSERT_TRUE(t.Send(Envelope{4, kCoordinatorId, report}));
+  ASSERT_TRUE(SendOne(t, Envelope{4, kCoordinatorId, report}));
   ActorMessage cmd;
   cmd.kind = ActorMsgKind::kPollRequest;
   ASSERT_TRUE(t.SendToShard(2, Envelope{kCoordinatorId, kCoordinatorId, cmd}));
-  ASSERT_TRUE(t.Send(Envelope{5, kCoordinatorId, report}));
+  ASSERT_TRUE(SendOne(t, Envelope{5, kCoordinatorId, report}));
 
   std::vector<Envelope> batch;
   EXPECT_EQ(t.RecvShardAll(2, &batch), 3u);
@@ -146,23 +153,22 @@ TEST(ThreadTransportTest, UnroutableEnvelopeRejectsTheWholeBatch) {
   batch = {Envelope{2, kCoordinatorId, msg}, Envelope{7, kCoordinatorId, msg}};
   EXPECT_FALSE(t.SendBatch(&batch));
   EXPECT_TRUE(batch.empty());
-  Envelope e;
-  EXPECT_FALSE(t.TryRecvShard(0, &e));
+  t.Shutdown();
+  EXPECT_EQ(t.RecvShardAll(0, &got), 0u);  // Closed, and nothing queued.
 }
 
 TEST(ThreadTransportTest, SingleShardIsTheFlatCoordinatorInbox) {
-  // RecvCoordinator is shard 0's inbox: the flat coordinator and every
-  // pre-sharding caller keep working unchanged.
+  // With one shard, shard 0's inbox is the whole coordinator inbox.
   auto transport = ThreadTransport::Create(3, 1);
   ASSERT_TRUE(transport.ok());
   Transport& t = **transport;
   EXPECT_EQ(t.num_shards(), 1);
   ActorMessage msg;
   msg.kind = ActorMsgKind::kAlarm;
-  ASSERT_TRUE(t.Send(Envelope{2, kCoordinatorId, msg}));
-  Envelope e;
-  ASSERT_TRUE(t.TryRecvCoordinator(&e));
-  EXPECT_EQ(e.from, 2);
+  ASSERT_TRUE(SendOne(t, Envelope{2, kCoordinatorId, msg}));
+  std::vector<Envelope> got;
+  ASSERT_EQ(t.RecvShardAll(0, &got), 1u);
+  EXPECT_EQ(got[0].from, 2);
 }
 
 TEST(ThreadTransportTest, RoutesBySiteAndMultiplexesWorkers) {
@@ -176,24 +182,27 @@ TEST(ThreadTransportTest, RoutesBySiteAndMultiplexesWorkers) {
   ActorMessage msg;
   msg.kind = ActorMsgKind::kPollRequest;
   msg.epoch = 7;
-  ASSERT_TRUE(t.Send(Envelope{kCoordinatorId, 4, msg}));
+  ASSERT_TRUE(SendOne(t, Envelope{kCoordinatorId, 4, msg}));
   msg.kind = ActorMsgKind::kEpochReport;
-  ASSERT_TRUE(t.Send(Envelope{3, kCoordinatorId, msg}));
+  ASSERT_TRUE(SendOne(t, Envelope{3, kCoordinatorId, msg}));
 
-  Envelope e;
   // Site 4 lives in worker 0's inbox; worker 1's is empty.
-  ASSERT_TRUE(t.TryRecvWorker(0, &e));
-  EXPECT_EQ(e.to, 4);
-  EXPECT_EQ(e.msg.kind, ActorMsgKind::kPollRequest);
-  EXPECT_EQ(e.msg.epoch, 7);
-  EXPECT_FALSE(t.TryRecvWorker(1, &e));
-  ASSERT_TRUE(t.TryRecvCoordinator(&e));
-  EXPECT_EQ(e.from, 3);
+  std::vector<Envelope> got;
+  ASSERT_EQ(t.TryRecvWorkerAll(0, &got), 1u);
+  EXPECT_EQ(got[0].to, 4);
+  EXPECT_EQ(got[0].msg.kind, ActorMsgKind::kPollRequest);
+  EXPECT_EQ(got[0].msg.epoch, 7);
+  EXPECT_EQ(t.TryRecvWorkerAll(1, &got), 0u);
+  got.clear();
+  ASSERT_EQ(t.RecvShardAll(0, &got), 1u);
+  EXPECT_EQ(got[0].from, 3);
 
   t.Shutdown();
-  EXPECT_FALSE(t.RecvCoordinator(&e));
+  got.clear();
+  EXPECT_EQ(t.RecvShardAll(0, &got), 0u);
+  Envelope e;
   EXPECT_FALSE(t.RecvWorker(0, &e));
-  EXPECT_FALSE(t.Send(Envelope{kCoordinatorId, 0, msg}));
+  EXPECT_FALSE(SendOne(t, Envelope{kCoordinatorId, 0, msg}));
 }
 
 TEST(ThreadTransportTest, WorkerCapacityRoundsUpForUnevenShapes) {
@@ -224,14 +233,12 @@ TEST(ThreadTransportTest, UnevenShapeSurvivesBurstWithoutBlocking) {
   msg.kind = ActorMsgKind::kEpochStart;
   for (int round = 0; round < 4; ++round) {
     for (int site : {0, 2, 4}) {  // Worker 0's sites.
-      ASSERT_TRUE(t.Send(Envelope{kCoordinatorId, site, msg}));
+      ASSERT_TRUE(SendOne(t, Envelope{kCoordinatorId, site, msg}));
     }
   }
-  Envelope e;
-  for (int k = 0; k < 12; ++k) {
-    ASSERT_TRUE(t.TryRecvWorker(0, &e));
-  }
-  EXPECT_FALSE(t.TryRecvWorker(0, &e));
+  std::vector<Envelope> got;
+  EXPECT_EQ(t.TryRecvWorkerAll(0, &got), 12u);
+  EXPECT_EQ(t.TryRecvWorkerAll(0, &got), 0u);
 }
 
 // --- Virtual-time runtime on a hand-checked trace --------------------------

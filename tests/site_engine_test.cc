@@ -288,7 +288,8 @@ struct EngineRig {
     msg.kind = kind;
     msg.epoch = epoch;
     msg.value = value;
-    ASSERT_TRUE(transport->Send(Envelope{kCoordinatorId, to, msg}));
+    std::vector<Envelope> one = {Envelope{kCoordinatorId, to, msg}};
+    ASSERT_TRUE(transport->SendBatch(&one));
   }
   /// Replies until the first kEpochDone (inclusive) or `count` envelopes.
   std::vector<Envelope> Collect(size_t count) {

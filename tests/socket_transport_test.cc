@@ -44,6 +44,29 @@ Envelope ToCoordinator(int site, ActorMsgKind kind, int64_t epoch,
   return e;
 }
 
+/// A lone envelope is a 1-element batch.
+bool SendOne(SocketTransport* t, const Envelope& e) {
+  std::vector<Envelope> batch = {e};
+  return t->SendBatch(&batch);
+}
+
+/// Drains the coordinator's shard-0 inbox until `count` envelopes arrived
+/// or it closed.
+std::vector<Envelope> RecvCoordinatorN(SocketTransport* t, size_t count) {
+  std::vector<Envelope> got;
+  while (got.size() < count && t->RecvShardAll(0, &got) > 0) {
+  }
+  return got;
+}
+
+/// Drains worker `w`'s inbox until `count` envelopes arrived or it closed.
+std::vector<Envelope> RecvWorkerN(SocketTransport* t, int w, size_t count) {
+  std::vector<Envelope> got;
+  while (got.size() < count && t->RecvWorkerAll(w, &got) > 0) {
+  }
+  return got;
+}
+
 /// Connects `num_workers` worker transports to `coordinator` on loopback
 /// (each from its own thread, since AcceptWorkers blocks the caller).
 std::vector<std::unique_ptr<SocketTransport>> ConnectWorkers(
@@ -78,14 +101,16 @@ TEST(SocketTransportTest, RoutesEnvelopesBothWays) {
 
   // Coordinator -> sites: worker w owns sites {w, w+2}.
   for (int site = 0; site < 4; ++site) {
-    ASSERT_TRUE(coordinator->Send(
+    ASSERT_TRUE(SendOne(
+        coordinator.get(),
         ToSite(site, ActorMsgKind::kThresholdUpdate, 0, 100 + site)));
   }
   for (int w = 0; w < 2; ++w) {
     std::set<int> seen;
-    Envelope e;
-    for (int k = 0; k < 2; ++k) {
-      ASSERT_TRUE(workers[static_cast<size_t>(w)]->RecvWorker(w, &e));
+    const std::vector<Envelope> got =
+        RecvWorkerN(workers[static_cast<size_t>(w)].get(), w, 2);
+    ASSERT_EQ(got.size(), 2u);
+    for (const Envelope& e : got) {
       EXPECT_EQ(e.msg.kind, ActorMsgKind::kThresholdUpdate);
       EXPECT_EQ(e.msg.value, 100 + e.to);
       seen.insert(e.to);
@@ -95,13 +120,13 @@ TEST(SocketTransportTest, RoutesEnvelopesBothWays) {
 
   // Sites -> coordinator.
   for (int w = 0; w < 2; ++w) {
-    ASSERT_TRUE(workers[static_cast<size_t>(w)]->Send(
-        ToCoordinator(w, ActorMsgKind::kAlarm, 5, 999)));
+    ASSERT_TRUE(SendOne(workers[static_cast<size_t>(w)].get(),
+                        ToCoordinator(w, ActorMsgKind::kAlarm, 5, 999)));
   }
   std::set<int> froms;
-  Envelope e;
-  for (int k = 0; k < 2; ++k) {
-    ASSERT_TRUE(coordinator->RecvCoordinator(&e));
+  const std::vector<Envelope> got = RecvCoordinatorN(coordinator.get(), 2);
+  ASSERT_EQ(got.size(), 2u);
+  for (const Envelope& e : got) {
     EXPECT_EQ(e.msg.kind, ActorMsgKind::kAlarm);
     froms.insert(e.from);
   }
@@ -151,9 +176,11 @@ TEST(SocketTransportTest, SendBatchTakesTheBatchAndRejectsUnroutable) {
   ASSERT_TRUE(coordinator->SendBatch(&batch));
   EXPECT_TRUE(batch.empty());
   for (int w = 0; w < 2; ++w) {
-    Envelope e;
+    const std::vector<Envelope> got =
+        RecvWorkerN(workers[static_cast<size_t>(w)].get(), w, 2);
+    ASSERT_EQ(got.size(), 2u);
     for (int k = 0; k < 2; ++k) {
-      ASSERT_TRUE(workers[static_cast<size_t>(w)]->RecvWorker(w, &e));
+      const Envelope& e = got[static_cast<size_t>(k)];
       EXPECT_EQ(e.msg.epoch, 2);  // The rejected epoch-1 batch never came.
       EXPECT_EQ(e.to, w + 2 * k);
       EXPECT_EQ(e.msg.value, 10 + e.to);
@@ -163,13 +190,12 @@ TEST(SocketTransportTest, SendBatchTakesTheBatchAndRejectsUnroutable) {
              ToCoordinator(2, ActorMsgKind::kPollResponse, 2, 8)};
   ASSERT_TRUE(workers[0]->SendBatch(&to_site));
   EXPECT_TRUE(to_site.empty());
-  Envelope e;
-  ASSERT_TRUE(coordinator->RecvCoordinator(&e));
-  EXPECT_EQ(e.from, 0);
-  EXPECT_EQ(e.msg.value, 7);
-  ASSERT_TRUE(coordinator->RecvCoordinator(&e));
-  EXPECT_EQ(e.from, 2);
-  EXPECT_EQ(e.msg.value, 8);
+  const std::vector<Envelope> got = RecvCoordinatorN(coordinator.get(), 2);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].from, 0);
+  EXPECT_EQ(got[0].msg.value, 7);
+  EXPECT_EQ(got[1].from, 2);
+  EXPECT_EQ(got[1].msg.value, 8);
 
   workers[0]->Shutdown();
   workers[1]->Shutdown();
@@ -191,15 +217,15 @@ TEST(SocketTransportTest, PreservesPerSenderOrderUnderLoad) {
   constexpr int kFrames = 500;
   std::thread producer([&] {
     for (int i = 0; i < kFrames; ++i) {
-      ASSERT_TRUE(coordinator->Send(
-          ToSite(0, ActorMsgKind::kPollRequest, i, 2 * i)));
+      ASSERT_TRUE(SendOne(coordinator.get(),
+                          ToSite(0, ActorMsgKind::kPollRequest, i, 2 * i)));
     }
   });
-  Envelope e;
+  const std::vector<Envelope> got = RecvWorkerN(workers[0].get(), 0, kFrames);
+  ASSERT_EQ(got.size(), static_cast<size_t>(kFrames));
   for (int i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(workers[0]->RecvWorker(0, &e));
-    EXPECT_EQ(e.msg.epoch, i);
-    EXPECT_EQ(e.msg.value, 2 * i);
+    EXPECT_EQ(got[static_cast<size_t>(i)].msg.epoch, i);
+    EXPECT_EQ(got[static_cast<size_t>(i)].msg.value, 2 * i);
   }
   producer.join();
   workers[0]->Shutdown();
@@ -217,15 +243,16 @@ TEST(SocketTransportTest, ShutdownFlushesQueuedFrames) {
   auto workers = ConnectWorkers(coordinator.get(), 1, 1);
   ASSERT_TRUE(workers[0] != nullptr);
 
-  ASSERT_TRUE(coordinator->Send(ToSite(0, ActorMsgKind::kShutdown, 9, 0)));
+  ASSERT_TRUE(
+      SendOne(coordinator.get(), ToSite(0, ActorMsgKind::kShutdown, 9, 0)));
   coordinator->Shutdown();
 
-  Envelope e;
-  ASSERT_TRUE(workers[0]->RecvWorker(0, &e));
-  EXPECT_EQ(e.msg.kind, ActorMsgKind::kShutdown);
-  EXPECT_EQ(e.msg.epoch, 9);
+  std::vector<Envelope> got;
+  ASSERT_EQ(workers[0]->RecvWorkerAll(0, &got), 1u);
+  EXPECT_EQ(got[0].msg.kind, ActorMsgKind::kShutdown);
+  EXPECT_EQ(got[0].msg.epoch, 9);
   // After the flush the stream ends cleanly: drained inbox reports closed.
-  EXPECT_FALSE(workers[0]->RecvWorker(0, &e));
+  EXPECT_EQ(workers[0]->RecvWorkerAll(0, &got), 0u);
   workers[0]->Shutdown();
   EXPECT_EQ(workers[0]->stats().disconnects, 0);
 }
@@ -243,7 +270,8 @@ TEST(SocketTransportTest, SendAfterPeerShutdownReportsClosed) {
   // The worker's inbox closes once the coordinator's stream ends.
   EXPECT_FALSE(workers[0]->RecvWorker(0, &e));
   workers[0]->Shutdown();
-  EXPECT_FALSE(workers[0]->Send(ToCoordinator(0, ActorMsgKind::kAlarm, 0, 0)));
+  EXPECT_FALSE(SendOne(workers[0].get(),
+                      ToCoordinator(0, ActorMsgKind::kAlarm, 0, 0)));
 }
 
 TEST(SocketTransportTest, ConnectRetriesAreBoundedAndCounted) {
@@ -357,11 +385,11 @@ TEST(SocketTransportTest, ReconnectsAndReplaysAfterSeveredLink) {
   ASSERT_TRUE(worker != nullptr);
 
   // Sanity: one round trip on the healthy link.
-  ASSERT_TRUE(
-      coordinator->Send(ToSite(0, ActorMsgKind::kThresholdUpdate, 0, 50)));
-  Envelope e;
-  ASSERT_TRUE(worker->RecvWorker(0, &e));
-  EXPECT_EQ(e.msg.value, 50);
+  ASSERT_TRUE(SendOne(coordinator.get(),
+                      ToSite(0, ActorMsgKind::kThresholdUpdate, 0, 50)));
+  std::vector<Envelope> got = RecvWorkerN(worker.get(), 0, 1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].msg.value, 50);
 
   ASSERT_TRUE(coordinator->InjectPeerFailure(0).ok());
 
@@ -369,19 +397,23 @@ TEST(SocketTransportTest, ReconnectsAndReplaysAfterSeveredLink) {
   // queues absorb the burst and the resume replays the rest.
   constexpr int kFrames = 50;
   for (int i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(
-        coordinator->Send(ToSite(0, ActorMsgKind::kPollRequest, i, 10 + i)));
-    ASSERT_TRUE(
-        worker->Send(ToCoordinator(0, ActorMsgKind::kAlarm, i, 20 + i)));
+    ASSERT_TRUE(SendOne(coordinator.get(),
+                        ToSite(0, ActorMsgKind::kPollRequest, i, 10 + i)));
+    ASSERT_TRUE(SendOne(worker.get(),
+                        ToCoordinator(0, ActorMsgKind::kAlarm, i, 20 + i)));
   }
+  got = RecvWorkerN(worker.get(), 0, kFrames);
+  ASSERT_EQ(got.size(), static_cast<size_t>(kFrames));
   for (int i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(worker->RecvWorker(0, &e)) << "frame " << i;
-    EXPECT_EQ(e.msg.epoch, i);
+    const Envelope& e = got[static_cast<size_t>(i)];
+    EXPECT_EQ(e.msg.epoch, i) << "frame " << i;
     EXPECT_EQ(e.msg.value, 10 + i);
   }
+  got = RecvCoordinatorN(coordinator.get(), kFrames);
+  ASSERT_EQ(got.size(), static_cast<size_t>(kFrames));
   for (int i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(coordinator->RecvCoordinator(&e)) << "frame " << i;
-    EXPECT_EQ(e.msg.epoch, i);
+    const Envelope& e = got[static_cast<size_t>(i)];
+    EXPECT_EQ(e.msg.epoch, i) << "frame " << i;
     EXPECT_EQ(e.msg.value, 20 + i);
   }
 

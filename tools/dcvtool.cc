@@ -69,9 +69,10 @@
 //       onto K worker threads (default: one per core); each worker drives
 //       all of its sites from one flat structure-of-arrays loop with
 //       batched transport drains. --shards S partitions the sites across S
-//       shard coordinator threads feeding a root aggregator (two-level
-//       coordinator tree; S in [1, sites], default 1 = no shard threads);
-//       virtual-time results are identical for every legal S.
+//       shard coordinators feeding a root aggregator (two-level
+//       coordinator tree; S in [1, sites], default 1: virtual time runs
+//       the one shard leg on the root thread, free running one shard
+//       thread); virtual-time results are identical for every legal S.
 //       --transport socket makes this process the coordinator: it listens
 //       on --listen-port (0 = ephemeral; the bound port is printed as
 //       "listening-port: P"), waits for one `dcvtool site-worker` process
